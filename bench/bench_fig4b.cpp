@@ -144,17 +144,20 @@ int main(int argc, char** argv) {
   // Shape checks mirrored from the paper's discussion.
   auto f = [&](int i) { return rows[static_cast<std::size_t>(i)].f_sim_nom; };
   auto e = [&](int i) { return rows[static_cast<std::size_t>(i)].energy_sim; };
+  // Any FAIL makes the bench exit 1 (after the CSV is written).
+  bool ok = true;
+  const auto check = [&](const char* what, bool pass) {
+    std::printf("  %s: %s\n", what, pass ? "PASS" : "FAIL");
+    ok = ok && pass;
+  };
   std::printf("\nTrend checks (paper Fig. 4b discussion):\n");
-  std::printf("  f(A)>f(B)>f(C)>f(D): %s\n",
-              (f(0) > f(1) && f(1) > f(2) && f(2) > f(3)) ? "PASS" : "FAIL");
-  std::printf("  f(B)>f(E)>f(D) (partitioning helps, but E < B): %s\n",
-              (f(1) > f(4) && f(4) > f(3)) ? "PASS" : "FAIL");
-  std::printf("  E(A)<E(B)<E(C)<E(D): %s\n",
-              (e(0) < e(1) && e(1) < e(2) && e(2) < e(3)) ? "PASS" : "FAIL");
-  std::printf("  E(E)<E(D) (only the hit bank burns energy): %s\n",
-              (e(4) < e(3)) ? "PASS" : "FAIL");
-  std::printf("  area(E)>area(D) (partitioning costs area): %s\n",
-              (rows[4].area > rows[3].area) ? "PASS" : "FAIL");
+  check("f(A)>f(B)>f(C)>f(D)", f(0) > f(1) && f(1) > f(2) && f(2) > f(3));
+  check("f(B)>f(E)>f(D) (partitioning helps, but E < B)",
+        f(1) > f(4) && f(4) > f(3));
+  check("E(A)<E(B)<E(C)<E(D)", e(0) < e(1) && e(1) < e(2) && e(2) < e(3));
+  check("E(E)<E(D) (only the hit bank burns energy)", e(4) < e(3));
+  check("area(E)>area(D) (partitioning costs area)",
+        rows[4].area > rows[3].area);
 
   std::ofstream csv("fig4b.csv");
   CsvWriter w(csv);
@@ -167,5 +170,5 @@ int main(int argc, char** argv) {
                         r.energy_sim / e_ref_sim, r.area * 1e12});
   }
   std::printf("\n(wrote fig4b.csv)\n");
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -96,14 +96,18 @@ int main() {
   std::printf("\nObserved ranges: speedup %.1fx..%.1fx (paper: 7x..250x),"
               " energy %.1fx..%.1fx (paper: 10x..310x)\n",
               min_speedup, max_speedup, min_eratio, max_eratio);
+  // Any FAIL makes the bench exit 1 (after the CSV is written).
+  bool ok = true;
+  const auto check = [&](const char* what, bool pass) {
+    std::printf("  %s: %s\n", what, pass ? "PASS" : "FAIL");
+    ok = ok && pass;
+  };
   std::printf("Shape checks:\n");
-  std::printf("  LiM wins every benchmark: %s\n",
-              min_speedup > 1.0 ? "PASS" : "FAIL");
-  std::printf("  speedup spans >= one order of magnitude: %s\n",
-              (max_speedup / min_speedup >= 10.0) ? "PASS" : "FAIL");
-  std::printf("  energy ratio exceeds speedup (slower clock, lower power):"
-              " %s\n",
-              (max_eratio > max_speedup) ? "PASS" : "FAIL");
+  check("LiM wins every benchmark", min_speedup > 1.0);
+  check("speedup spans >= one order of magnitude",
+        max_speedup / min_speedup >= 10.0);
+  check("energy ratio exceeds speedup (slower clock, lower power)",
+        max_eratio > max_speedup);
   std::printf("(wrote fig6.csv)\n");
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -1,17 +1,12 @@
 #include "bitsim/banks.hpp"
 
-#include <string>
-
 #include "fault/repair.hpp"
+#include "netlist/sim.hpp"
 #include "util/error.hpp"
 
 namespace limsynth::bitsim {
 
 namespace {
-
-std::string idx(const char* base, int i) {
-  return std::string(base) + "[" + std::to_string(i) + "]";
-}
 
 std::uint64_t word_mask(int bits) {
   return bits >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << bits) - 1;
@@ -23,27 +18,11 @@ BatchSramBank::BatchSramBank(const BatchProgram& program, netlist::InstId inst,
                              int rows, int bits, int data_bits)
     : rows_(rows), bits_(bits), data_bits_(data_bits) {
   LIMS_CHECK(rows > 0 && bits > 0 && bits <= 64);
-  const netlist::BoundDesign& bound = program.bound();
-  const auto resolve = [&](const char* base, int i) {
-    const netlist::NetId net = bound.pin_net(inst, idx(base, i));
-    LIMS_CHECK_MSG(net != netlist::kNoNet,
-                   "bitsim bank instance "
-                       << bound.netlist().instance(inst).name
-                       << " has no pin " << idx(base, i));
-    return net;
-  };
-  wwl_.reserve(static_cast<std::size_t>(rows));
-  rwl_.reserve(static_cast<std::size_t>(rows));
-  for (int r = 0; r < rows; ++r) {
-    wwl_.push_back(resolve("WWL", r));
-    rwl_.push_back(resolve("RWL", r));
-  }
-  wdata_.reserve(static_cast<std::size_t>(bits));
-  do_.reserve(static_cast<std::size_t>(bits));
-  for (int j = 0; j < bits; ++j) {
-    wdata_.push_back(resolve("WDATA", j));
-    do_.push_back(resolve("DO", j));
-  }
+  const netlist::Netlist& nl = program.bound().netlist();
+  wwl_ = netlist::macro_bus(nl, inst, "WWL", rows);
+  rwl_ = netlist::macro_bus(nl, inst, "RWL", rows);
+  wdata_ = netlist::macro_bus(nl, inst, "WDATA", bits);
+  do_ = netlist::macro_bus(nl, inst, "DO", bits);
   mem_.assign(static_cast<std::size_t>(rows) * static_cast<std::size_t>(bits),
               0);
   wd_.assign(static_cast<std::size_t>(bits), 0);
@@ -158,7 +137,7 @@ void BatchSramBank::on_clock(BatchSim& sim, netlist::InstId inst) {
 
   // SECDED reference decode of the post-write read composite (raw stored
   // words, no defect overlay — the periphery decoder sees the array as
-  // written), per reading lane, exactly like seu::ObservedSramBank.
+  // written), per reading lane, exactly like lim::SramBankModel.
   if (data_bits_ > 0 && any_read != 0) {
     for (std::size_t j = 0; j < nb; ++j) comp_[j] = kAllLanes;
     for (int r = 0; r < rows_; ++r) {

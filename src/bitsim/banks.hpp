@@ -1,11 +1,11 @@
 // Lane-parallel SRAM bank model for the bit-plane kernel.
 //
-// The bit-plane counterpart of lim::SramBankModel plus seu::ObservedSramBank:
-// storage is kept as planes (one uint64_t per stored bit per row, bit L =
-// lane L's cell), the write and read ports follow the scalar model's
-// semantics lane-wise — destructive multi-write on every WWL-hot row,
-// multi-hot reads resolving to the bitwise AND of selected rows — and two
-// optional overlays ride along per lane:
+// The bit-plane counterpart of lim::SramBankModel: storage is kept as
+// planes (one uint64_t per stored bit per row, bit L = lane L's cell), the
+// write and read ports follow the scalar model's semantics lane-wise —
+// destructive multi-write on every WWL-hot row, multi-hot reads resolving
+// to the bitwise AND of selected rows — and two optional overlays ride
+// along per lane:
 //
 //  * a manufacturing-defect overlay (set_lane_faults): FaultMap::corrupt_read
 //    is bitwise-affine per (row, bit) — out = (stored & keep) | force — so
@@ -14,9 +14,9 @@
 //    planes applied branch-free on every read;
 //  * a SECDED reference decode (data_bits > 0): the post-write composite of
 //    RWL-hot rows is decoded per reading lane, accumulating sticky
-//    corrected/due lane masks exactly like seu::ObservedSramBank. Lanes
-//    whose composite equals the golden lane's inherit its decode, so the
-//    common all-lanes-agree case costs one decode per cycle.
+//    corrected/due lane masks exactly like SramBankModel with data_bits.
+//    Lanes whose composite equals the golden lane's inherit its decode, so
+//    the common all-lanes-agree case costs one decode per cycle.
 #pragma once
 
 #include <cstdint>
@@ -29,10 +29,10 @@ namespace limsynth::bitsim {
 
 class BatchSramBank : public BatchMacroModel {
  public:
-  /// Resolves the macro's WWL/RWL/WDATA/DO pin nets once against the
-  /// program's binding; `data_bits` > 0 enables the SECDED reference
-  /// decode over `bits`-wide codewords. Throws Error(kInvalidConfig) when
-  /// the instance lacks the expected bank pins.
+  /// Resolves the macro's WWL/RWL/WDATA/DO pin nets once, with the
+  /// scalar models' netlist::macro_bus; `data_bits` > 0 enables the SECDED
+  /// reference decode over `bits`-wide codewords. Throws
+  /// Error(kInvalidConfig) when the instance lacks the expected bank pins.
   BatchSramBank(const BatchProgram& program, netlist::InstId inst, int rows,
                 int bits, int data_bits = 0);
 

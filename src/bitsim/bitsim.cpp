@@ -235,24 +235,4 @@ void BatchSim::drive_net(netlist::NetId net, std::uint64_t value,
   planes_[n] = (planes_[n] & ~lane_mask) | (value & lane_mask);
 }
 
-std::uint64_t BatchSim::pin_plane(netlist::InstId inst,
-                                  const std::string& pin) const {
-  const netlist::NetId net = prog_->bound().pin_net(inst, pin);
-  LIMS_CHECK_MSG(net != netlist::kNoNet,
-                 "bitsim: instance "
-                     << prog_->bound().netlist().instance(inst).name
-                     << " has no pin " << pin);
-  return plane(net);
-}
-
-void BatchSim::drive_pin(netlist::InstId inst, const std::string& pin,
-                         std::uint64_t value, std::uint64_t lane_mask) {
-  const netlist::NetId net = prog_->bound().pin_net(inst, pin);
-  LIMS_CHECK_MSG(net != netlist::kNoNet,
-                 "bitsim: instance "
-                     << prog_->bound().netlist().instance(inst).name
-                     << " has no pin " << pin);
-  drive_net(net, value, lane_mask);
-}
-
 }  // namespace limsynth::bitsim

@@ -99,7 +99,7 @@ TimingAnnotation annotate_delays(const BoundDesign& bd,
                                              << bd.pin_name(c.pin) << " on "
                                              << cell.name);
           mi.outputs.push_back(
-              {bd.pin_name(c.pin), c.net,
+              {c.net,
                to_fs(arc->delay.lookup(sta::kClockSlew, load_of(c.net)))});
         }
         ann.macros.push_back(std::move(mi));

@@ -58,7 +58,6 @@ struct FlopInfo {
 };
 
 struct MacroOutInfo {
-  std::string pin;  // full pin name, e.g. "DO[3]"
   netlist::NetId net = netlist::kNoNet;
   TimeFs delay_fs = 0;  // clock-to-pin arc + wire delay
 };

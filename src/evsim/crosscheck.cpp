@@ -42,7 +42,7 @@ CrossCheckResult cross_check(const netlist::Netlist& nl,
   EvsimOptions opt;
   opt.period = 0.0;     // quiesce mode: settle-equivalent cycle states
   opt.x_init = false;   // both engines power up at 0
-  EventSimulator ev(nl, cells, annotation, opt);
+  EventSimulator ev(nl, annotation, opt);
   if (attach_event) attach_event(ev);
 
   CrossCheckResult res;
@@ -95,7 +95,7 @@ StaValidation validate_at_period(const netlist::Netlist& nl,
   EvsimOptions opt;
   opt.period = period;  // timed mode: the edge truncates the event stream
   opt.x_init = false;
-  EventSimulator ev(nl, cells, annotation, opt);
+  EventSimulator ev(nl, annotation, opt);
   if (attach_event) attach_event(ev);
 
   StaValidation res;

@@ -12,33 +12,9 @@ namespace {
 using netlist::InstId;
 using netlist::NetId;
 
-/// Presents the event engine to unmodified netlist::MacroModels through
-/// the Simulator macro-port surface. The base class is constructed but
-/// never stepped; only the three virtual port methods are live.
-class MacroPortAdapter final : public netlist::Simulator {
- public:
-  MacroPortAdapter(EventSimulator& ev, const netlist::Netlist& nl,
-                   const tech::StdCellLib& cells)
-      : netlist::Simulator(nl, cells), ev_(ev) {}
-
-  bool pin_value(InstId inst, const std::string& pin) const override {
-    return to_bool(ev_.pin_logic(inst, pin));
-  }
-  void drive_pin(InstId inst, const std::string& pin, bool v) override {
-    ev_.macro_drive(inst, pin, v);
-  }
-  void note_macro_access(InstId inst) override {
-    ev_.note_macro_access(inst);
-  }
-
- private:
-  EventSimulator& ev_;
-};
-
 }  // namespace
 
 EventSimulator::EventSimulator(const netlist::Netlist& nl,
-                               const tech::StdCellLib& cells,
                                TimingAnnotation annotation,
                                const EvsimOptions& options)
     : nl_(nl), ann_(std::move(annotation)), opt_(options) {
@@ -71,12 +47,9 @@ EventSimulator::EventSimulator(const netlist::Netlist& nl,
   for (std::size_t f = 0; f < ann_.flops.size(); ++f)
     flop_index_[ann_.flops[f].inst] = f;
 
-  macro_pin_index_.resize(ann_.macros.size());
-  for (std::size_t m = 0; m < ann_.macros.size(); ++m) {
-    macro_index_[ann_.macros[m].inst] = m;
-    for (std::size_t o = 0; o < ann_.macros[m].outputs.size(); ++o)
-      macro_pin_index_[m][ann_.macros[m].outputs[o].pin] = o;
-  }
+  for (const MacroInfo& mi : ann_.macros)
+    for (const MacroOutInfo& out : mi.outputs)
+      macro_out_delay_[out.net] = out.delay_fs;
 
   endpoints_on_net_.resize(n_nets);
   for (std::size_t e = 0; e < ann_.endpoints.size(); ++e)
@@ -88,12 +61,9 @@ EventSimulator::EventSimulator(const netlist::Netlist& nl,
                       ? opt_.max_events_per_cycle
                       : 1000 * (ann_.gates.size() + ann_.flops.size() + 64);
 
-  adapter_ = std::make_unique<MacroPortAdapter>(*this, nl, cells);
   next_edge_ = period_fs_;
   prime();
 }
-
-EventSimulator::~EventSimulator() = default;
 
 void EventSimulator::prime() {
   // Power-up evaluation: every gate whose function of the initial values
@@ -114,9 +84,12 @@ void EventSimulator::prime() {
 
 void EventSimulator::attach(InstId inst,
                             std::shared_ptr<netlist::MacroModel> model) {
-  LIMS_CHECK_MSG(macro_index_.count(inst) != 0,
+  const bool is_macro =
+      std::any_of(ann_.macros.begin(), ann_.macros.end(),
+                  [&](const MacroInfo& mi) { return mi.inst == inst; });
+  LIMS_CHECK_MSG(is_macro,
                  "attach on non-macro instance " << nl_.instance(inst).name);
-  macros_.attach(inst, std::move(model));
+  macros_.attach(nl_, inst, std::move(model));
 }
 
 netlist::MacroModel* EventSimulator::model(InstId inst) const {
@@ -323,7 +296,7 @@ void EventSimulator::edge(TimeFs t_edge) {
   // Macro models fire on pre-edge pin values; their drives land at the
   // annotated CK->pin delay.
   for (const auto& [inst, model] : macros_.models())
-    model->on_clock(*adapter_, inst);
+    model->on_clock(*this, inst);
   // Commit: Q transitions launch at the annotated CK->Q delay.
   for (std::size_t f = 0; f < ann_.flops.size(); ++f) {
     const FlopInfo& fi = ann_.flops[f];
@@ -438,31 +411,12 @@ void EventSimulator::finish_vcd() {
   if (vcd_) vcd_->finish(t_now_);
 }
 
-Logic EventSimulator::pin_logic(InstId inst, const std::string& pin) const {
-  // Cached per-instance pin resolution (one hash lookup per model call,
-  // no linear pin scan).
-  const NetId net = macros_.pin_net(nl_, inst, pin);
-  LIMS_CHECK_MSG(net != netlist::kNoNet,
-                 "instance " << nl_.instance(inst).name << " has no pin "
-                             << pin);
-  return value(net);
-}
-
-void EventSimulator::macro_drive(InstId inst, const std::string& pin,
-                                 bool v) {
-  const auto it = macro_index_.find(inst);
-  LIMS_CHECK_MSG(it != macro_index_.end(),
-                 "drive_pin on non-macro " << nl_.instance(inst).name);
-  const auto& pins = macro_pin_index_[it->second];
-  const auto pit = pins.find(pin);
-  LIMS_CHECK_MSG(pit != pins.end(), "macro " << nl_.instance(inst).name
-                                             << " has no output pin " << pin);
-  const MacroOutInfo& out = ann_.macros[it->second].outputs[pit->second];
-  schedule_output(out.net, from_bool(v), edge_time_ + out.delay_fs);
-}
-
-void EventSimulator::note_macro_access(InstId inst) {
-  macros_.note_access(inst);
+void EventSimulator::drive(NetId net, bool v) {
+  const auto it = macro_out_delay_.find(net);
+  LIMS_CHECK_MSG(it != macro_out_delay_.end(),
+                 "macro drive on net " << nl_.net_name(net)
+                                       << ", not an annotated macro output");
+  schedule_output(net, from_bool(v), edge_time_ + it->second);
 }
 
 }  // namespace limsynth::evsim

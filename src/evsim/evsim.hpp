@@ -70,15 +70,14 @@ struct SetupViolation {
   std::uint64_t count = 0;
 };
 
-class EventSimulator {
+class EventSimulator final : public netlist::MacroPorts {
  public:
-  EventSimulator(const netlist::Netlist& nl, const tech::StdCellLib& cells,
-                 TimingAnnotation annotation,
+  EventSimulator(const netlist::Netlist& nl, TimingAnnotation annotation,
                  const EvsimOptions& options = {});
-  ~EventSimulator();
 
-  /// Attaches an unmodified netlist::MacroModel; it sees this engine
-  /// through the Simulator macro-port adapter.
+  /// Attaches a netlist::MacroModel to an annotated macro instance,
+  /// binding its ports. Throws Error(kInvalidConfig) when the instance is
+  /// not a macro or lacks a model port.
   void attach(netlist::InstId inst, std::shared_ptr<netlist::MacroModel> model);
   /// The model attached to `inst`, or nullptr. Fault injectors use this to
   /// reach the MacroModel peek/poke state surface of a live run.
@@ -152,13 +151,16 @@ class EventSimulator {
   /// SET campaign wants to measure. One pulse may be armed at a time.
   void arm_set_pulse(netlist::NetId net, TimeFs width_fs, TimeFs lead_fs);
 
-  // Macro-port surface used by the adapter (public for the adapter, not
-  // meant for testbenches).
-  Logic pin_logic(netlist::InstId inst, const std::string& pin) const;
-  void macro_drive(netlist::InstId inst, const std::string& pin, bool value);
-  void note_macro_access(netlist::InstId inst);
-
  private:
+  // MacroPorts, reached by attached models only. drive() lands the value
+  // at the net's annotated CK->pin delay and rejects a net that is not an
+  // annotated macro output.
+  bool read(netlist::NetId net) const override { return to_bool(value(net)); }
+  void drive(netlist::NetId net, bool value) override;
+  void note_access(netlist::InstId inst) override {
+    macros_.note_access(inst);
+  }
+
   struct Fanin {
     std::uint32_t gate;  // index into ann_.gates
     std::uint8_t input;  // input position on that gate
@@ -190,11 +192,10 @@ class EventSimulator {
 
   std::vector<Logic> flop_state_;            // parallel to ann_.flops
   std::map<netlist::InstId, std::size_t> flop_index_;
-  std::map<netlist::InstId, std::size_t> macro_index_;
+  /// Annotated macro-output net -> its CK->pin launch delay.
+  std::unordered_map<netlist::NetId, TimeFs> macro_out_delay_;
   /// Shared macro binding table (same machinery as netlist::Simulator).
   netlist::MacroBindings macros_;
-  std::unique_ptr<netlist::Simulator> adapter_;
-  std::vector<std::unordered_map<std::string, std::size_t>> macro_pin_index_;
 
   std::vector<std::vector<std::size_t>> endpoints_on_net_;
   std::vector<std::uint64_t> endpoint_violations_;

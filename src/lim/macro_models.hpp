@@ -19,13 +19,28 @@ namespace limsynth::lim {
 /// where the chip's sampled defect map says — stuck bitcells, dead
 /// wordlines/bitlines, dead bricks — including any repair remap the map
 /// carries.
+///
+/// With `data_bits` > 0 the bank also reference-decodes every word its read
+/// port returns (fault::secded_decode over `bits`-wide codewords), so SEU
+/// campaigns see whether the live SECDED logic had to correct — or failed
+/// to correct — a read. The decode sees the post-write composite of the
+/// RWL-hot rows as stored (no defect overlay), like bitsim::BatchSramBank.
 class SramBankModel : public netlist::MacroModel {
  public:
-  SramBankModel(int rows, int bits)
-      : rows_(rows), bits_(bits),
+  SramBankModel(int rows, int bits, int data_bits = 0)
+      : rows_(rows), bits_(bits), data_bits_(data_bits),
         mem_(static_cast<std::size_t>(rows), 0) {}
 
-  void on_clock(netlist::Simulator& sim, netlist::InstId inst) override;
+  /// Resolves WWL/RWL[rows] and WDATA/DO[bits]; throws
+  /// Error(kInvalidConfig) naming the first missing pin.
+  void bind(const netlist::Netlist& nl, netlist::InstId inst) override;
+  void on_clock(netlist::MacroPorts& ports, netlist::InstId inst) override;
+
+  /// Sticky SECDED observations (always false when data_bits == 0): a
+  /// read's reference decode corrected a single-bit error / flagged a
+  /// double-bit error.
+  bool corrected_seen() const { return corrected_seen_; }
+  bool due_seen() const { return due_seen_; }
 
   /// Installs the defect overlay; `bank` selects this instance's bank in
   /// the chip-wide map.
@@ -48,9 +63,13 @@ class SramBankModel : public netlist::MacroModel {
  private:
   int rows_;
   int bits_;
+  int data_bits_;
   std::vector<std::uint64_t> mem_;
+  std::vector<netlist::NetId> wwl_, rwl_, wdata_, do_;
   std::shared_ptr<const fault::FaultMap> faults_;
   int bank_index_ = 0;
+  bool corrected_seen_ = false;
+  bool due_seen_ = false;
 };
 
 /// CAM bank: stores index words; on search (SDATA), MATCH goes high when
@@ -67,7 +86,10 @@ class CamBankModel : public netlist::MacroModel {
         mem_(static_cast<std::size_t>(rows), 0),
         valid_(static_cast<std::size_t>(rows), false) {}
 
-  void on_clock(netlist::Simulator& sim, netlist::InstId inst) override;
+  /// Resolves WWL[rows], WDATA/SDATA/DO[bits] and MATCH; throws
+  /// Error(kInvalidConfig) naming the first missing pin.
+  void bind(const netlist::Netlist& nl, netlist::InstId inst) override;
+  void on_clock(netlist::MacroPorts& ports, netlist::InstId inst) override;
 
   void set_faults(std::shared_ptr<const fault::FaultMap> map, int bank) {
     faults_ = std::move(map);
@@ -93,6 +115,8 @@ class CamBankModel : public netlist::MacroModel {
   int bits_;
   std::vector<std::uint64_t> mem_;
   std::vector<bool> valid_;
+  std::vector<netlist::NetId> wwl_, wdata_, sdata_, do_;
+  netlist::NetId match_ = netlist::kNoNet;
   std::shared_ptr<const fault::FaultMap> faults_;
   int bank_index_ = 0;
 };

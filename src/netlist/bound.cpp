@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "netlist/sim.hpp"
 #include "util/error.hpp"
 
 namespace limsynth::netlist {
@@ -217,16 +218,10 @@ NetId BoundDesign::pin_net(InstId inst, PinId pin) const {
   return (it != last && it->first == pin) ? it->second : kNoNet;
 }
 
-NetId MacroBindings::pin_net(const Netlist& nl, InstId inst,
-                             const std::string& pin) const {
-  auto& cache = pin_cache_[inst];
-  if (cache.empty()) {
-    const Instance& in = nl.instance(inst);
-    cache.reserve(in.conns.size());
-    for (const auto& c : in.conns) cache.emplace(c.pin, c.net);
-  }
-  const auto it = cache.find(pin);
-  return it == cache.end() ? kNoNet : it->second;
+void MacroBindings::attach(const Netlist& nl, InstId inst,
+                           std::shared_ptr<MacroModel> model) {
+  model->bind(nl, inst);
+  models_[inst] = std::move(model);
 }
 
 }  // namespace limsynth::netlist

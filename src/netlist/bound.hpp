@@ -244,9 +244,11 @@ class BoundDesign {
 /// iteration order, and access accounting are defined once.
 class MacroBindings {
  public:
-  void attach(InstId inst, std::shared_ptr<MacroModel> model) {
-    models_[inst] = std::move(model);
-  }
+  /// Binds the model's ports on `inst` (MacroModel::bind), then installs
+  /// it. A bind failure (Error(kInvalidConfig), missing port pin) leaves
+  /// the table unchanged.
+  void attach(const Netlist& nl, InstId inst,
+              std::shared_ptr<MacroModel> model);
   MacroModel* model(InstId inst) const {
     const auto it = models_.find(inst);
     return it == models_.end() ? nullptr : it->second.get();
@@ -266,16 +268,9 @@ class MacroBindings {
     return access_counts_;
   }
 
-  /// Resolves a macro-port pin name to its net through a per-instance
-  /// cache (built on first touch), so repeated model calls cost one hash
-  /// lookup instead of a linear pin scan. Returns kNoNet when the
-  /// instance has no such pin.
-  NetId pin_net(const Netlist& nl, InstId inst, const std::string& pin) const;
-
  private:
   std::map<InstId, std::shared_ptr<MacroModel>> models_;
   std::map<InstId, std::uint64_t> access_counts_;
-  mutable std::map<InstId, std::unordered_map<std::string, NetId>> pin_cache_;
 };
 
 }  // namespace limsynth::netlist

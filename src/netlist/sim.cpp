@@ -19,6 +19,40 @@ std::string cell_stem(const std::string& cell) {
   return pos == std::string::npos ? cell : cell.substr(0, pos);
 }
 
+std::vector<NetId> macro_bus(const Netlist& nl, InstId inst,
+                             const std::string& base, int width) {
+  // One pass over the instance's pins, matching "<base>[i]" by prefix, so
+  // binding a bus costs O(pins) rather than one linear pin scan per bit.
+  std::vector<NetId> bus(static_cast<std::size_t>(width), kNoNet);
+  for (const Connection& c : nl.instance(inst).conns) {
+    const std::string& p = c.pin;
+    if (p.size() < base.size() + 3 || p.compare(0, base.size(), base) != 0 ||
+        p[base.size()] != '[' || p.back() != ']')
+      continue;
+    std::size_t i = 0;
+    std::size_t k = base.size() + 1;
+    for (; k + 1 < p.size() && i < bus.size(); ++k) {
+      if (p[k] < '0' || p[k] > '9') break;
+      i = i * 10 + static_cast<std::size_t>(p[k] - '0');
+    }
+    // Only an all-digit index inside the bus width names one of its bits.
+    if (k + 1 == p.size() && i < bus.size()) bus[i] = c.net;
+  }
+  for (int i = 0; i < width; ++i)
+    LIMS_CHECK_MSG(bus[static_cast<std::size_t>(i)] != kNoNet,
+                   "macro instance " << nl.instance(inst).name
+                                     << " has no pin " << base << "[" << i
+                                     << "]");
+  return bus;
+}
+
+NetId macro_pin(const Netlist& nl, InstId inst, const std::string& pin) {
+  const NetId* net = nl.instance(inst).find_pin(pin);
+  LIMS_CHECK_MSG(net != nullptr, "macro instance " << nl.instance(inst).name
+                                                   << " has no pin " << pin);
+  return *net;
+}
+
 std::uint64_t MacroModel::peek(int row) const {
   LIMS_FAIL(ErrorCode::kInvalidConfig,
             "macro model exposes no inspectable state (peek row " << row
@@ -77,7 +111,7 @@ Simulator::Simulator(const Netlist& nl, const tech::StdCellLib& cells)
 }
 
 void Simulator::attach(InstId inst, std::shared_ptr<MacroModel> model) {
-  macros_.attach(inst, std::move(model));
+  macros_.attach(nl_, inst, std::move(model));
 }
 
 void Simulator::set_input(NetId net, bool value) {
@@ -122,20 +156,6 @@ std::uint64_t Simulator::bus_value(const std::vector<NetId>& bus) const {
   for (std::size_t i = 0; i < bus.size(); ++i)
     if (value(bus[i])) v |= (std::uint64_t{1} << i);
   return v;
-}
-
-bool Simulator::pin_value(InstId inst, const std::string& pin) const {
-  const NetId net = macros_.pin_net(nl_, inst, pin);
-  LIMS_CHECK_MSG(net != kNoNet, "instance " << nl_.instance(inst).name
-                                            << " has no pin " << pin);
-  return value(net);
-}
-
-void Simulator::drive_pin(InstId inst, const std::string& pin, bool v) {
-  const NetId net = macros_.pin_net(nl_, inst, pin);
-  LIMS_CHECK_MSG(net != kNoNet, "instance " << nl_.instance(inst).name
-                                            << " has no pin " << pin);
-  set_net(net, v, true);
 }
 
 bool Simulator::eval_gate(InstId id, const GateBinding& gb) const {
@@ -268,10 +288,6 @@ double Simulator::activity(NetId net) const {
 
 std::uint64_t Simulator::macro_accesses(InstId inst) const {
   return macros_.accesses(inst);
-}
-
-void Simulator::note_macro_access(InstId inst) {
-  macros_.note_access(inst);
 }
 
 }  // namespace limsynth::netlist

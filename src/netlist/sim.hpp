@@ -18,26 +18,47 @@
 
 namespace limsynth::netlist {
 
-class Simulator;
-
 /// Strips the drive suffix: "NAND2_X4" -> "NAND2". Both simulation
 /// engines use it to map instance cell names onto CellFunc templates.
 std::string cell_stem(const std::string& cell);
 
+/// The macro-port contract between a simulation engine and the behavioral
+/// models attached to it. Ports are plain NetIds the model resolved once at
+/// attach (MacroModel::bind), so a clock edge costs no name lookups. Both
+/// netlist::Simulator and evsim::EventSimulator implement it.
+class MacroPorts {
+ public:
+  virtual ~MacroPorts() = default;
+  /// Current value of a port net (the event engine reads X as 0).
+  virtual bool read(NetId net) const = 0;
+  /// Drives a macro output net for the new cycle (the event engine lands
+  /// it at the annotated CK->pin delay).
+  virtual void drive(NetId net, bool value) = 0;
+  /// Counts one access cycle of `inst` for activity statistics.
+  virtual void note_access(InstId inst) = 0;
+};
+
+/// Resolves the `width` pins "<base>[0]".."<base>[width-1]" of a macro
+/// instance to their nets, in index order. Throws Error(kInvalidConfig)
+/// naming the instance and the first missing pin.
+std::vector<NetId> macro_bus(const Netlist& nl, InstId inst,
+                             const std::string& base, int width);
+/// Single-pin form of macro_bus (e.g. "MATCH"); same error contract.
+NetId macro_pin(const Netlist& nl, InstId inst, const std::string& pin);
+
 /// Behavioral model for a macro instance (e.g. a memory brick bank).
-/// Called on every clock edge with read access to current net values and
-/// the ability to schedule its output values for the new cycle.
-///
-/// Models must confine themselves to the virtual macro-port surface of
-/// Simulator (pin_value / drive_pin / note_macro_access) so the same
-/// model runs unmodified on the event-driven engine through its adapter.
+/// bind() runs once when the model is attached; on_clock() then runs on
+/// every clock edge with read access to current net values and the
+/// ability to drive its output values for the new cycle.
 class MacroModel {
  public:
   virtual ~MacroModel() = default;
-  /// Invoked at the clock edge, before combinational resettling. Read pin
-  /// values with sim.pin_value(inst, "NAME[i]") and drive outputs with
-  /// sim.drive_pin(inst, "DO[j]", v).
-  virtual void on_clock(Simulator& sim, InstId inst) = 0;
+  /// Resolves the model's port nets on `inst` (see macro_bus). Called
+  /// from MacroBindings::attach only; the default model has no ports.
+  virtual void bind(const Netlist& /*nl*/, InstId /*inst*/) {}
+  /// Invoked at the clock edge, before combinational resettling, on
+  /// pre-edge port values.
+  virtual void on_clock(MacroPorts& ports, InstId inst) = 0;
 
   // State mutation surface: models with internal storage expose it as
   // state_rows() words of state_bits() bits each, so fault injectors
@@ -67,12 +88,12 @@ struct SettleBudget {
   double wall_seconds = 0.0;
 };
 
-class Simulator {
+class Simulator final : public MacroPorts {
  public:
   Simulator(const Netlist& nl, const tech::StdCellLib& cells);
-  virtual ~Simulator() = default;
 
-  /// Attaches a behavioral model to a macro instance.
+  /// Attaches a behavioral model to a macro instance, binding its ports.
+  /// Throws Error(kInvalidConfig) when the instance lacks a model port.
   void attach(InstId inst, std::shared_ptr<MacroModel> model);
 
   /// Sets a primary input (call settle() afterwards).
@@ -95,11 +116,6 @@ class Simulator {
   bool value(NetId net) const;
   std::uint64_t bus_value(const std::vector<NetId>& bus) const;
 
-  /// Macro-model port (virtual so the event-driven engine can present
-  /// itself to unmodified MacroModels through an adapter).
-  virtual bool pin_value(InstId inst, const std::string& pin) const;
-  virtual void drive_pin(InstId inst, const std::string& pin, bool value);
-
   /// Fault-injection hook: clamps a net to a fixed value. A forced net
   /// resists every driver (primary inputs, gates, flops, macro models)
   /// until released — the gate-level model of a stuck-at net, e.g. a
@@ -113,15 +129,19 @@ class Simulator {
   /// Toggle rate per cycle of a net (both edges counted).
   double activity(NetId net) const;
   /// Number of clock cycles in which a macro instance was "accessed"
-  /// (its model reported activity via note_macro_access).
+  /// (its model reported activity via MacroPorts::note_access).
   std::uint64_t macro_accesses(InstId inst) const;
-  virtual void note_macro_access(InstId inst);
 
   const Netlist& netlist() const { return nl_; }
   /// The shared macro-model binding table (attach/access accounting).
   const MacroBindings& macro_bindings() const { return macros_; }
 
  private:
+  // MacroPorts, reached by attached models only.
+  bool read(NetId net) const override { return value(net); }
+  void drive(NetId net, bool v) override { set_net(net, v, true); }
+  void note_access(InstId inst) override { macros_.note_access(inst); }
+
   /// Per-instance resolution of cell function and pin nets, computed once
   /// at construction so settle()/clock_edge() run index-only (no string
   /// lookups on the hot path).

@@ -2,7 +2,6 @@
 
 #include <string>
 
-#include "fault/repair.hpp"
 #include "util/error.hpp"
 #include "util/watchdog.hpp"
 
@@ -99,33 +98,9 @@ std::string FaultSite::describe(const netlist::Netlist& nl) const {
   return "?";
 }
 
-void ObservedSramBank::on_clock(netlist::Simulator& sim,
-                                netlist::InstId inst) {
-  // Let the base model service the cycle first (write, then read), then
-  // reconstruct the word the periphery decoder saw: the AND of every row
-  // selected for read — post-write state, so a read-after-write sees the
-  // fresh codeword, and a decoder transient holding several wordlines
-  // hot decodes the (garbage) composite exactly like the real datapath.
-  SramBankModel::on_clock(sim, inst);
-  if (data_bits_ > 0) {
-    bool read = false;
-    std::uint64_t composite = ~std::uint64_t{0};
-    for (int r = 0; r < state_rows(); ++r) {
-      if (!sim.pin_value(inst, "RWL[" + std::to_string(r) + "]")) continue;
-      composite &= peek(r);
-      read = true;
-    }
-    if (read) {
-      const fault::SecdedDecode d = fault::secded_decode(composite, data_bits_);
-      corrected_seen_ = corrected_seen_ || d.corrected;
-      due_seen_ = due_seen_ || d.uncorrectable;
-    }
-  }
-}
-
 GoldenRun run_golden(const SeuRig& rig) {
   const lim::SramDesign& d = *rig.design;
-  EventSimulator ev(d.nl, *rig.cells, *rig.ann, golden_equivalent_options());
+  EventSimulator ev(d.nl, *rig.ann, golden_equivalent_options());
   std::vector<std::shared_ptr<lim::SramBankModel>> banks;
   for (const netlist::InstId b : d.banks) {
     auto m = std::make_shared<lim::SramBankModel>(d.config.rows_per_bank(),
@@ -158,13 +133,12 @@ InjectionResult run_injection(const SeuRig& rig, const GoldenRun& golden,
                  "injection cycle " << spec.cycle << " beyond the trace");
 
   InjectionResult res;
-  EventSimulator ev(d.nl, *rig.cells, *rig.ann, golden_equivalent_options());
-  std::vector<std::shared_ptr<ObservedSramBank>> banks;
+  EventSimulator ev(d.nl, *rig.ann, golden_equivalent_options());
+  std::vector<std::shared_ptr<lim::SramBankModel>> banks;
   for (const netlist::InstId b : d.banks) {
-    auto m = std::make_shared<ObservedSramBank>(d.config.rows_per_bank(),
-                                                d.config.code_bits(),
-                                                d.config.ecc ? d.config.bits
-                                                             : 0);
+    auto m = std::make_shared<lim::SramBankModel>(
+        d.config.rows_per_bank(), d.config.code_bits(),
+        d.config.ecc ? d.config.bits : 0);
     ev.attach(b, m);
     banks.push_back(std::move(m));
   }

@@ -113,26 +113,6 @@ struct InjectionResult {
   std::string detail;
 };
 
-/// SramBankModel that additionally reference-decodes every word the read
-/// port returns (fault::secded_decode with `data_bits` payload bits),
-/// recording whether the live SECDED logic had to correct — or failed to
-/// correct — a read. `data_bits` == 0 disables the check (non-ECC banks).
-class ObservedSramBank : public lim::SramBankModel {
- public:
-  ObservedSramBank(int rows, int code_bits, int data_bits)
-      : SramBankModel(rows, code_bits), data_bits_(data_bits) {}
-
-  void on_clock(netlist::Simulator& sim, netlist::InstId inst) override;
-
-  bool corrected_seen() const { return corrected_seen_; }
-  bool due_seen() const { return due_seen_; }
-
- private:
-  int data_bits_ = 0;
-  bool corrected_seen_ = false;
-  bool due_seen_ = false;
-};
-
 /// Replays the rig's stimulus fault-free (quiesce mode, zero-init) and
 /// records the reference outputs and final state.
 GoldenRun run_golden(const SeuRig& rig);

@@ -13,6 +13,7 @@
 #include "bitsim/bitsim.hpp"
 #include "brick/cache.hpp"
 #include "evsim/evsim.hpp"
+#include "fault/repair.hpp"
 #include "liberty/characterize.hpp"
 #include "lim/macro_models.hpp"
 #include "netlist/bound.hpp"
@@ -199,7 +200,7 @@ TEST(Fuzz, EventEngineDefiniteValuesMatchLanesUnderXInit) {
   const evsim::TimingAnnotation ann =
       evsim::annotate_delays(d.nl, ctx.lib, ctx.cells);
   evsim::EvsimOptions opt;  // quiesce mode, x_init = true
-  evsim::EventSimulator ev(d.nl, ctx.cells, ann, opt);
+  evsim::EventSimulator ev(d.nl, ann, opt);
 
   int definite_checked = 0;
   for (int c = 0; c < 8; ++c) {
@@ -282,50 +283,75 @@ TEST(Banks, MultiHotWordlinesMatchScalarModelOnEveryLane) {
   const netlist::BoundDesign bd(h.nl, h.lib);
   const BatchProgram prog(bd, ctx.cells);
 
-  BatchSim batch(prog);
-  auto bmodel = std::make_shared<BatchSramBank>(prog, h.bank, rows, bits);
-  batch.attach(h.bank, bmodel);
+  // Plain banks, then SECDED banks: with two payload bits the 6-bit word
+  // is exactly one SECDED codeword, so the random multi-hot composites
+  // mix clean, corrected and uncorrectable reads.
+  ASSERT_EQ(fault::secded_total_bits(2), bits);
+  for (const int data_bits : {0, 2}) {
+    BatchSim batch(prog);
+    auto bmodel =
+        std::make_shared<BatchSramBank>(prog, h.bank, rows, bits, data_bits);
+    batch.attach(h.bank, bmodel);
 
-  std::vector<std::unique_ptr<netlist::Simulator>> scalar;
-  std::vector<std::shared_ptr<lim::SramBankModel>> smodel;
-  for (int l = 0; l < kLanes; ++l) {
-    scalar.push_back(std::make_unique<netlist::Simulator>(h.nl, ctx.cells));
-    smodel.push_back(std::make_shared<lim::SramBankModel>(rows, bits));
-    scalar.back()->attach(h.bank, smodel.back());
-  }
-
-  // Dense random wordline planes: with eight rows at p=0.5 per lane,
-  // nearly every lane sees multi-hot reads and destructive multi-writes
-  // every cycle — the semantics the one-hot decoder never exercises.
-  Rng rng(5);
-  for (int c = 0; c < 24; ++c) {
-    const auto drive = [&](const std::vector<NetId>& bus) {
-      for (const NetId n : bus) {
-        const std::uint64_t plane = rng.next_u64();
-        batch.set_input_lanes(n, plane);
-        for (int l = 0; l < kLanes; ++l)
-          scalar[static_cast<std::size_t>(l)]->set_input(n, (plane >> l) & 1);
-      }
-    };
-    drive(h.wwl);
-    drive(h.rwl);
-    drive(h.wdata);
-    batch.settle();
-    batch.clock_edge();
+    std::vector<std::unique_ptr<netlist::Simulator>> scalar;
+    std::vector<std::shared_ptr<lim::SramBankModel>> smodel;
     for (int l = 0; l < kLanes; ++l) {
-      scalar[static_cast<std::size_t>(l)]->settle();
-      scalar[static_cast<std::size_t>(l)]->clock_edge();
-      ASSERT_EQ(batch.bus_value(h.dout, l),
-                scalar[static_cast<std::size_t>(l)]->bus_value(h.dout))
-          << "cycle " << c << " lane " << l;
+      scalar.push_back(std::make_unique<netlist::Simulator>(h.nl, ctx.cells));
+      smodel.push_back(
+          std::make_shared<lim::SramBankModel>(rows, bits, data_bits));
+      scalar.back()->attach(h.bank, smodel.back());
+    }
+
+    // Dense random wordline planes: with eight rows at p=0.5 per lane,
+    // nearly every lane sees multi-hot reads and destructive multi-writes
+    // every cycle — the semantics the one-hot decoder never exercises.
+    Rng rng(5);
+    bool mixed_flags = false;  // some cycle split the lanes' SECDED flags
+    for (int c = 0; c < 24; ++c) {
+      const auto drive = [&](const std::vector<NetId>& bus) {
+        for (const NetId n : bus) {
+          const std::uint64_t plane = rng.next_u64();
+          batch.set_input_lanes(n, plane);
+          for (int l = 0; l < kLanes; ++l)
+            scalar[static_cast<std::size_t>(l)]->set_input(n,
+                                                           (plane >> l) & 1);
+        }
+      };
+      drive(h.wwl);
+      drive(h.rwl);
+      drive(h.wdata);
+      batch.settle();
+      batch.clock_edge();
+      for (int l = 0; l < kLanes; ++l) {
+        const auto lane = static_cast<std::size_t>(l);
+        scalar[lane]->settle();
+        scalar[lane]->clock_edge();
+        ASSERT_EQ(batch.bus_value(h.dout, l), scalar[lane]->bus_value(h.dout))
+            << "data_bits " << data_bits << " cycle " << c << " lane " << l;
+        // Sticky SECDED observations agree lane by lane, every cycle.
+        ASSERT_EQ((bmodel->corrected_lanes() >> l) & 1,
+                  smodel[lane]->corrected_seen() ? 1u : 0u)
+            << "data_bits " << data_bits << " cycle " << c << " lane " << l;
+        ASSERT_EQ((bmodel->due_lanes() >> l) & 1,
+                  smodel[lane]->due_seen() ? 1u : 0u)
+            << "data_bits " << data_bits << " cycle " << c << " lane " << l;
+      }
+      for (const std::uint64_t m : {bmodel->corrected_lanes(),
+                                    bmodel->due_lanes()})
+        mixed_flags = mixed_flags || (m != 0 && m != kAllLanes);
+    }
+    // Final storage state matches word-for-word in every lane.
+    for (int l = 0; l < kLanes; ++l)
+      for (int r = 0; r < rows; ++r)
+        ASSERT_EQ(bmodel->peek(l, r),
+                  smodel[static_cast<std::size_t>(l)]->peek(r))
+            << "data_bits " << data_bits << " lane " << l << " row " << r;
+    if (data_bits == 0) {
+      EXPECT_EQ(bmodel->corrected_lanes() | bmodel->due_lanes(), 0u);
+    } else {
+      EXPECT_TRUE(mixed_flags) << "SECDED flags never told lanes apart";
     }
   }
-  // Final storage state matches word-for-word in every lane.
-  for (int l = 0; l < kLanes; ++l)
-    for (int r = 0; r < rows; ++r)
-      ASSERT_EQ(bmodel->peek(l, r),
-                smodel[static_cast<std::size_t>(l)]->peek(r))
-          << "lane " << l << " row " << r;
 }
 
 TEST(Banks, PerLanePeekPokeFlipAreIsolated) {

@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <sstream>
+#include <string>
 
+#include "brick/cache.hpp"
 #include "evsim/crosscheck.hpp"
 #include "evsim/evsim.hpp"
 #include "evsim/stimulus.hpp"
@@ -20,6 +23,7 @@
 #include "power/power.hpp"
 #include "synth/synth.hpp"
 #include "tech/process.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace limsynth::evsim {
@@ -116,7 +120,7 @@ TEST(Evsim, PropagatedHazardPulseIsCountedAsGlitch) {
   const TimingAnnotation ann = annotate_delays(nl, ctx.lib, ctx.cells);
   EvsimOptions opt;
   opt.x_init = false;
-  EventSimulator ev(nl, ctx.cells, ann, opt);
+  EventSimulator ev(nl, ann, opt);
   ev.cycle();  // flush power-up
   const std::uint64_t before = ev.toggles(y);
   ev.set_input(a, true);
@@ -143,7 +147,7 @@ TEST(Evsim, InertialFilteringSwallowsPreemptedPulse) {
   const TimingAnnotation ann = annotate_delays(nl, ctx.lib, ctx.cells);
   EvsimOptions opt;
   opt.x_init = false;
-  EventSimulator ev(nl, ctx.cells, ann, opt);
+  EventSimulator ev(nl, ann, opt);
   ev.cycle();
   const std::uint64_t before = ev.toggles(y);
   // Both inputs flip at the same instant: the first evaluation schedules
@@ -171,7 +175,7 @@ TEST(Evsim, XInitializationFlushesThroughPipeline) {
   nl.add_port("out", netlist::PortDir::kOutput, q2[0]);
 
   const TimingAnnotation ann = annotate_delays(nl, ctx.lib, ctx.cells);
-  EventSimulator ev(nl, ctx.cells, ann, {});  // x_init default
+  EventSimulator ev(nl, ann, {});  // x_init default
   EXPECT_TRUE(is_x(ev.value(q1[0])));
   EXPECT_TRUE(is_x(ev.value(q2[0])));
   ev.set_input(in, true);
@@ -299,7 +303,7 @@ TEST(Evsim, MacroModelScriptedTraceMatchesOnBothEngines) {
   netlist::Simulator golden(d.nl, ctx.cells);
   EvsimOptions opt;
   opt.x_init = false;
-  EventSimulator ev(d.nl, ctx.cells, ann, opt);
+  EventSimulator ev(d.nl, ann, opt);
   for (netlist::InstId bank : d.banks) {
     golden.attach(bank, std::make_shared<lim::SramBankModel>(
                             cfg.rows_per_bank(), cfg.code_bits()));
@@ -343,6 +347,106 @@ TEST(Evsim, MacroModelScriptedTraceMatchesOnBothEngines) {
   const netlist::Activity act = ev.activity();
   for (netlist::InstId bank : d.banks)
     EXPECT_EQ(act.macro_access_count(bank), golden.macro_accesses(bank));
+}
+
+// ------------------------------------------- attach-time port binding
+
+/// One brick macro whose port pins are all wired to primary ports except
+/// `omit`, so port binding can be probed without a decoder around it.
+struct LoneMacro {
+  explicit LoneMacro(liberty::Library l) : lib(std::move(l)) {}
+  Netlist nl{"lone"};
+  liberty::Library lib;
+  netlist::InstId inst = -1;
+};
+
+std::unique_ptr<LoneMacro> make_lone_macro(const Ctx& ctx, bool cam, int rows,
+                                           int bits, const std::string& omit) {
+  auto m = std::make_unique<LoneMacro>(ctx.lib);
+  const brick::BrickSpec spec{
+      cam ? tech::BitcellKind::kCamNor10T : tech::BitcellKind::kSram8T, rows,
+      bits, 1};
+  m->lib.add(brick::BrickCache::global().get(spec, ctx.process)->libcell);
+  const NetId clk = m->nl.add_net("clk");
+  m->nl.set_clock(clk);
+  m->nl.add_port("clk", netlist::PortDir::kInput, clk);
+  std::vector<netlist::Connection> conns{{"CK", clk}};
+  const auto wire = [&](const std::string& pin, netlist::PortDir dir) {
+    if (pin == omit) return;
+    const NetId n = m->nl.add_net("n_" + pin);
+    m->nl.add_port("p_" + pin, dir, n);
+    conns.push_back({pin, n});
+  };
+  const auto bus = [](const char* base, int i) {
+    return std::string(base) + "[" + std::to_string(i) + "]";
+  };
+  for (int r = 0; r < rows; ++r) {
+    wire(bus("WWL", r), netlist::PortDir::kInput);
+    wire(bus("RWL", r), netlist::PortDir::kInput);
+  }
+  for (int j = 0; j < bits; ++j) {
+    wire(bus("WDATA", j), netlist::PortDir::kInput);
+    if (cam) wire(bus("SDATA", j), netlist::PortDir::kInput);
+    wire(bus("DO", j), netlist::PortDir::kOutput);
+  }
+  if (cam) wire("MATCH", netlist::PortDir::kOutput);
+  m->inst = m->nl.add_instance("bank0", spec.name(), std::move(conns));
+  return m;
+}
+
+std::shared_ptr<netlist::MacroModel> bank_model(bool cam, int rows, int bits) {
+  if (cam) return std::make_shared<lim::CamBankModel>(rows, bits);
+  return std::make_shared<lim::SramBankModel>(rows, bits);
+}
+
+/// Attach must reject a macro instance lacking one of the model's port
+/// pins with Error(kInvalidConfig) naming the pin — on both engines, and
+/// before any clock edge runs.
+TEST(MacroPorts, AttachRejectsMissingPortPinOnBothEngines) {
+  Ctx ctx;
+  const int rows = 8, bits = 4;
+  const struct {
+    bool cam;
+    const char* omit;
+  } cases[] = {{false, ""},      {false, "RWL[5]"}, {false, "DO[3]"},
+               {true, ""},       {true, "SDATA[2]"}, {true, "MATCH"},
+               {true, "WWL[0]"}};
+  for (const auto& tc : cases) {
+    const auto m = make_lone_macro(ctx, tc.cam, rows, bits, tc.omit);
+    const TimingAnnotation ann = annotate_delays(m->nl, m->lib, ctx.cells);
+    netlist::Simulator settle(m->nl, ctx.cells);
+    EventSimulator ev(m->nl, ann);
+    const std::string label =
+        std::string(tc.cam ? "cam" : "sram") + " omit '" + tc.omit + "'";
+    if (tc.omit[0] == '\0') {
+      // The complete instance binds on both engines: the harness is sound.
+      EXPECT_NO_THROW(settle.attach(m->inst, bank_model(tc.cam, rows, bits)))
+          << label;
+      EXPECT_NO_THROW(ev.attach(m->inst, bank_model(tc.cam, rows, bits)))
+          << label;
+      continue;
+    }
+    const auto expect_rejected = [&](const char* engine, auto&& attach) {
+      try {
+        attach();
+        ADD_FAILURE() << engine << " accepted " << label;
+      } catch (const Error& e) {
+        EXPECT_EQ(e.code(), ErrorCode::kInvalidConfig) << engine << " " << label;
+        EXPECT_NE(std::string(e.what()).find(std::string("no pin ") + tc.omit),
+                  std::string::npos)
+            << engine << " " << label << ": " << e.what();
+      }
+    };
+    expect_rejected("settle", [&] {
+      settle.attach(m->inst, bank_model(tc.cam, rows, bits));
+    });
+    expect_rejected("evsim", [&] {
+      ev.attach(m->inst, bank_model(tc.cam, rows, bits));
+    });
+    // A rejected attach leaves the instance unmodelled.
+    EXPECT_EQ(ev.model(m->inst), nullptr) << label;
+    EXPECT_FALSE(settle.macro_bindings().attached(m->inst)) << label;
+  }
 }
 
 // ------------------------------------- dynamic STA validation + power
@@ -410,7 +514,7 @@ TEST(Evsim, GlitchPowerComponentOnlyFromEventEngine) {
   golden.settle();
   EvsimOptions opt;
   opt.x_init = false;
-  EventSimulator ev(rig.design.nl, ctx.cells, rig.ann, opt);
+  EventSimulator ev(rig.design.nl, rig.ann, opt);
   sram_attach_event(rig)(ev);
   for (const auto& cycle_changes : rig.trace.cycles) {
     for (const auto& ch : cycle_changes) {
@@ -442,7 +546,7 @@ TEST(Vcd, DeterministicParseableWaveform) {
     SramRigs rig = make_sram_rig(ctx, {16, 10, 1, 16}, 20, 11);
     EvsimOptions opt;
     opt.x_init = false;
-    EventSimulator ev(rig.design.nl, ctx.cells, rig.ann, opt);
+    EventSimulator ev(rig.design.nl, rig.ann, opt);
     sram_attach_event(rig)(ev);
     std::ostringstream vcd;
     ev.stream_vcd(vcd);

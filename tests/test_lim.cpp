@@ -733,7 +733,7 @@ TEST(MacroState, CamPokeCorruptsTheWordButNotValidity) {
 
 TEST(MacroState, DefaultMacroModelExposesNoState) {
   struct Stateless : netlist::MacroModel {
-    void on_clock(netlist::Simulator&, netlist::InstId) override {}
+    void on_clock(netlist::MacroPorts&, netlist::InstId) override {}
   } model;
   EXPECT_EQ(model.state_rows(), 0);
   EXPECT_EQ(model.state_bits(), 0);

@@ -488,7 +488,7 @@ int cmd_simulate(int argc, char** argv) {
   evsim::EvsimOptions eopt;
   const double period_ns = flag_value(argc, argv, "--period", 0.0);
   if (period_ns > 0.0) eopt.period = period_ns * 1e-9;
-  evsim::EventSimulator ev(d.nl, cells, ann, eopt);
+  evsim::EventSimulator ev(d.nl, ann, eopt);
   attach_event(ev);
 
   std::ofstream vcd_file;
