@@ -1,8 +1,8 @@
 #include "bitsim/bitsim.hpp"
 
+#include <algorithm>
 #include <unordered_map>
 
-#include "netlist/sim.hpp"
 #include "util/error.hpp"
 
 namespace limsynth::bitsim {
@@ -13,19 +13,6 @@ namespace {
 constexpr const char* kInputPins[4] = {"A", "B", "C", "D"};
 
 }  // namespace
-
-std::uint64_t BatchMacroModel::peek(int lane, int row) const {
-  LIMS_FAIL(ErrorCode::kInvalidConfig,
-            "batch macro model exposes no inspectable state (peek lane "
-                << lane << " row " << row << ")");
-}
-
-void BatchMacroModel::poke(int lane, int row, std::uint64_t value) {
-  (void)value;
-  LIMS_FAIL(ErrorCode::kInvalidConfig,
-            "batch macro model exposes no inspectable state (poke lane "
-                << lane << " row " << row << ")");
-}
 
 BatchProgram::BatchProgram(const netlist::BoundDesign& bound,
                            const tech::StdCellLib& cells)
@@ -115,14 +102,12 @@ BatchSim::BatchSim(const BatchProgram& program) : prog_(&program) {
 }
 
 void BatchSim::attach(netlist::InstId inst,
-                      std::shared_ptr<BatchMacroModel> model) {
-  models_[inst] = std::move(model);
-  models_checked_ = false;
-}
-
-BatchMacroModel* BatchSim::model(netlist::InstId inst) const {
-  const auto it = models_.find(inst);
-  return it == models_.end() ? nullptr : it->second.get();
+                      std::shared_ptr<netlist::MacroModel> model) {
+  const std::vector<netlist::InstId>& ms = prog_->macros_;
+  LIMS_CHECK_MSG(std::binary_search(ms.begin(), ms.end(), inst),
+                 "bitsim: attach on non-macro instance "
+                     << prog_->bound().netlist().instance(inst).name);
+  macros_.attach(prog_->bound().netlist(), inst, std::move(model));
 }
 
 void BatchSim::set_input(netlist::NetId net, bool value) {
@@ -147,7 +132,8 @@ void BatchSim::settle() {
   // sources and already-evaluated outputs, so the sweep is exact.
   std::uint64_t* p = planes_.data();
   for (const BatchProgram::Gate& g : prog_->gates_) {
-    const std::uint64_t a = p[static_cast<std::size_t>(g.in[0])];
+    // Tie cells have no inputs (in[0] is kNoNet), so even A is guarded.
+    const std::uint64_t a = g.nin > 0 ? p[static_cast<std::size_t>(g.in[0])] : 0;
     const std::uint64_t b = g.nin > 1 ? p[static_cast<std::size_t>(g.in[1])] : 0;
     const std::uint64_t c = g.nin > 2 ? p[static_cast<std::size_t>(g.in[2])] : 0;
     const std::uint64_t d = g.nin > 3 ? p[static_cast<std::size_t>(g.in[3])] : 0;
@@ -178,14 +164,14 @@ void BatchSim::settle() {
 }
 
 void BatchSim::clock_edge() {
-  if (!models_checked_) {
+  // attach() admits program macros only, so equal counts mean every
+  // macro has its model.
+  if (macros_.models().size() != prog_->macros_.size())
     for (const netlist::InstId m : prog_->macros_)
-      LIMS_CHECK_MSG(models_.count(m) != 0,
+      LIMS_CHECK_MSG(macros_.attached(m),
                      "bitsim: macro instance "
                          << prog_->bound().netlist().instance(m).name
-                         << " has no attached batch model");
-    models_checked_ = true;
-  }
+                         << " has no attached model");
   // Same edge ordering as netlist::Simulator::clock_edge: sample all flop
   // D planes on pre-edge values, fire macro models (still pre-commit),
   // then commit flop state and Q, then resettle.
@@ -201,7 +187,8 @@ void BatchSim::clock_edge() {
       captures[i] = (en & d) | (~en & flop_state_[i]);
     }
   }
-  for (const auto& [inst, model] : models_) model->on_clock(*this, inst);
+  for (const auto& [inst, model] : macros_.models())
+    model->on_clock(*this, inst);
   for (std::size_t i = 0; i < nf; ++i) {
     flop_state_[i] = captures[i];
     planes_[static_cast<std::size_t>(prog_->flops_[i].q)] = captures[i];
@@ -228,8 +215,8 @@ void BatchSim::flip_flop(netlist::InstId inst, std::uint64_t lane_mask) {
       prog_->flops_[static_cast<std::size_t>(idx)].q)] ^= lane_mask;
 }
 
-void BatchSim::drive_net(netlist::NetId net, std::uint64_t value,
-                         std::uint64_t lane_mask) {
+void BatchSim::drive(netlist::NetId net, std::uint64_t value,
+                     std::uint64_t lane_mask) {
   const auto n = static_cast<std::size_t>(net);
   LIMS_CHECK(n < planes_.size());
   planes_[n] = (planes_[n] & ~lane_mask) | (value & lane_mask);

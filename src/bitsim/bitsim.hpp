@@ -19,6 +19,11 @@
 // physics), forced nets, and activity accounting — callers fall back to
 // the scalar engines for those.
 //
+// Macro models are the same netlist::MacroModel objects the scalar
+// engines drive: BatchSim implements netlist::MacroPorts with all 64
+// lanes live and attaches models through netlist::MacroBindings, so ports
+// bind once at attach exactly as on the other engines.
+//
 // A BatchProgram is the bind-once artifact (levelized gate arrays, flop
 // and macro tables); it is immutable and shared const across campaign
 // workers. Each BatchSim over it is cheap: two plane vectors and the
@@ -26,24 +31,21 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "netlist/bound.hpp"
 #include "netlist/levelize.hpp"
+#include "netlist/sim.hpp"
 #include "tech/stdcell.hpp"
 
 namespace limsynth::bitsim {
 
-class BatchSim;
-
 /// Number of independent simulations per plane word.
-inline constexpr int kLanes = 64;
-
+using netlist::kLanes;
 /// All-lanes mask helper.
-inline constexpr std::uint64_t kAllLanes = ~std::uint64_t{0};
+using netlist::kAllLanes;
 
 /// Broadcasts one lane's bit of `plane` across all 64 lanes (0 or ~0),
 /// the divergence-mask primitive: `plane ^ lane_broadcast(plane, g)` has
@@ -51,30 +53,6 @@ inline constexpr std::uint64_t kAllLanes = ~std::uint64_t{0};
 inline std::uint64_t lane_broadcast(std::uint64_t plane, int lane) {
   return std::uint64_t{0} - ((plane >> lane) & 1);
 }
-
-/// Behavioral macro model with per-lane state — the bit-plane counterpart
-/// of netlist::MacroModel. The state surface (state_rows/state_bits,
-/// peek/poke/flip per lane) mirrors the scalar model's so fault injectors
-/// drive both through the same coordinates.
-class BatchMacroModel {
- public:
-  virtual ~BatchMacroModel() = default;
-  /// Invoked at the clock edge on pre-commit pin planes; drive outputs
-  /// with sim.drive_net.
-  virtual void on_clock(BatchSim& sim, netlist::InstId inst) = 0;
-
-  virtual int state_rows() const { return 0; }
-  virtual int state_bits() const { return 0; }
-  /// Reads lane `lane`'s stored word `row`; throws Error(kInvalidConfig)
-  /// when out of range or the model exposes no state.
-  virtual std::uint64_t peek(int lane, int row) const;
-  /// Overwrites lane `lane`'s stored word `row` (masked to state_bits()).
-  virtual void poke(int lane, int row, std::uint64_t value);
-  /// Single-event upset helper: XORs `mask` into one lane's stored word.
-  void flip_state_bits(int lane, int row, std::uint64_t mask) {
-    poke(lane, row, peek(lane, row) ^ mask);
-  }
-};
 
 /// The bind-once simulation program: levelized dense gate arrays plus
 /// flop and macro tables resolved to NetIds. Construction throws
@@ -130,16 +108,20 @@ class BatchProgram {
 /// two-valued zero state (every net 0, every flop 0, macro state per
 /// model) — the same power-up the SEU campaign's golden-equivalent evsim
 /// options prescribe.
-class BatchSim {
+class BatchSim final : public netlist::MacroPorts {
  public:
   explicit BatchSim(const BatchProgram& program);
 
   const BatchProgram& program() const { return *prog_; }
 
-  /// Attaches a macro model; every macro instance in the program must be
-  /// attached before the first settle()/clock_edge().
-  void attach(netlist::InstId inst, std::shared_ptr<BatchMacroModel> model);
-  BatchMacroModel* model(netlist::InstId inst) const;
+  /// Attaches a behavioral model to a program macro instance, binding its
+  /// ports. Throws Error(kInvalidConfig) when the instance is not a macro
+  /// or lacks a model port. Every macro instance in the program must be
+  /// attached before the first clock_edge().
+  void attach(netlist::InstId inst, std::shared_ptr<netlist::MacroModel> model);
+  netlist::MacroModel* model(netlist::InstId inst) const {
+    return macros_.model(inst);
+  }
 
   /// Sets a primary input in every lane (broadcast).
   void set_input(netlist::NetId net, bool value);
@@ -170,16 +152,18 @@ class BatchSim {
   /// lane. Throws Error(kInvalidConfig) for a non-flop instance.
   void flip_flop(netlist::InstId inst, std::uint64_t lane_mask);
 
-  /// Macro-port surface (net-level; models resolve pins once at bind).
-  void drive_net(netlist::NetId net, std::uint64_t value,
-                 std::uint64_t lane_mask);
-
  private:
+  // MacroPorts, reached by attached models only: all 64 lanes. The kernel
+  // keeps no activity statistics, so note_access is a no-op.
+  std::uint64_t read(netlist::NetId net) const override { return plane(net); }
+  void drive(netlist::NetId net, std::uint64_t value,
+             std::uint64_t lane_mask) override;
+  void note_access(netlist::InstId /*inst*/) override {}
+
   const BatchProgram* prog_;
   std::vector<std::uint64_t> planes_;      // per net
   std::vector<std::uint64_t> flop_state_;  // per program flop
-  std::map<netlist::InstId, std::shared_ptr<BatchMacroModel>> models_;
-  bool models_checked_ = false;
+  netlist::MacroBindings macros_;
 };
 
 }  // namespace limsynth::bitsim

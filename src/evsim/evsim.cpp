@@ -411,12 +411,14 @@ void EventSimulator::finish_vcd() {
   if (vcd_) vcd_->finish(t_now_);
 }
 
-void EventSimulator::drive(NetId net, bool v) {
+void EventSimulator::drive(NetId net, std::uint64_t v,
+                           std::uint64_t lane_mask) {
   const auto it = macro_out_delay_.find(net);
   LIMS_CHECK_MSG(it != macro_out_delay_.end(),
                  "macro drive on net " << nl_.net_name(net)
                                        << ", not an annotated macro output");
-  schedule_output(net, from_bool(v), edge_time_ + it->second);
+  if (lane_mask & 1)
+    schedule_output(net, from_bool((v & 1) != 0), edge_time_ + it->second);
 }
 
 }  // namespace limsynth::evsim

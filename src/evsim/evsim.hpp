@@ -152,11 +152,14 @@ class EventSimulator final : public netlist::MacroPorts {
   void arm_set_pulse(netlist::NetId net, TimeFs width_fs, TimeFs lead_fs);
 
  private:
-  // MacroPorts, reached by attached models only. drive() lands the value
-  // at the net's annotated CK->pin delay and rejects a net that is not an
-  // annotated macro output.
-  bool read(netlist::NetId net) const override { return to_bool(value(net)); }
-  void drive(netlist::NetId net, bool value) override;
+  // MacroPorts, reached by attached models only: lane 0 of each plane.
+  // drive() lands the value at the net's annotated CK->pin delay and
+  // rejects a net that is not an annotated macro output.
+  std::uint64_t read(netlist::NetId net) const override {
+    return to_bool(value(net)) ? 1 : 0;
+  }
+  void drive(netlist::NetId net, std::uint64_t value,
+             std::uint64_t lane_mask) override;
   void note_access(netlist::InstId inst) override {
     macros_.note_access(inst);
   }

@@ -5,8 +5,8 @@
 // per-bank lookup structures and answers the two questions the rest of
 // the system asks:
 //  * simulation — "what does a read of this row actually return?"
-//    (lim::SramBankModel / lim::CamBankModel call corrupt_read /
-//    match_override on every access), and
+//    (lim::SramBankModel / lim::CamBankModel probe corrupt_read /
+//    match_override_logical once per row into per-lane overlays), and
 //  * repair analysis — "which rows are defective and how badly?"
 //    (fault/repair.hpp plans spare allocation from the same map).
 // Applying a RepairResult installs the fuse remap, so repaired rows read

@@ -170,8 +170,9 @@ std::vector<std::pair<int, std::uint64_t>> cam_block_contents(
     const CamBlockDesign& d, const CamBlockModels& m) {
   std::vector<std::pair<int, std::uint64_t>> out;
   for (int e = 0; e < d.config.entries; ++e) {
-    if (!m.cam->is_valid(e)) continue;
-    out.emplace_back(static_cast<int>(m.cam->word(e)), m.scratch->word(e));
+    if (!m.cam->is_valid(0, e)) continue;
+    out.emplace_back(static_cast<int>(m.cam->peek(0, e)),
+                     m.scratch->peek(0, e));
   }
   return out;
 }

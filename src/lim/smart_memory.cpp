@@ -245,8 +245,8 @@ void pam_load_image(const ParallelAccessConfig& cfg,
                cfg.image_cols);
     for (int c = 0; c < cfg.image_cols; ++c) {
       const PamLocation loc = pam_locate(cfg, r, c);
-      models[static_cast<std::size_t>(loc.bank)]->set_word(
-          loc.row, image[static_cast<std::size_t>(r)][static_cast<std::size_t>(c)]);
+      models[static_cast<std::size_t>(loc.bank)]->poke(
+          0, loc.row, image[static_cast<std::size_t>(r)][static_cast<std::size_t>(c)]);
     }
   }
 }
@@ -375,7 +375,7 @@ void interp_load_table(const InterpConfig& cfg, InterpModels& models,
   LIMS_CHECK(static_cast<int>(samples.size()) == cfg.seed_entries);
   for (int i = 0; i < cfg.seed_entries; ++i) {
     auto& bank = (i % 2 == 0) ? models.even : models.odd;
-    bank->set_word(i / 2, samples[static_cast<std::size_t>(i)]);
+    bank->poke(0, i / 2, samples[static_cast<std::size_t>(i)]);
   }
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 
-#include "bitsim/banks.hpp"
 #include "bitsim/bitsim.hpp"
 #include "brick/estimator.hpp"
 #include "fault/inject.hpp"
@@ -133,9 +132,9 @@ FullYieldResult analyze_yield_full(
   std::vector<bool> repairable(static_cast<std::size_t>(opt.chips), false);
   // Post-repair fault overlays, retained per chip only when the replay
   // verification needs them.
-  std::vector<std::shared_ptr<const fault::FaultMap>> maps;
+  std::vector<fault::FaultMap> maps;
   if (opt.verify_cycles > 0)
-    maps.assign(static_cast<std::size_t>(opt.chips), nullptr);
+    maps.resize(static_cast<std::size_t>(opt.chips));
   Rng rng(opt.seed);
   for (int i = 0; i < opt.chips; ++i) {
     if (opt.cancel != nullptr &&
@@ -160,9 +159,8 @@ FullYieldResult analyze_yield_full(
       ++res.repaired_good;
       repairable[static_cast<std::size_t>(i)] = true;
       if (opt.verify_cycles > 0) {
-        auto repaired = std::make_shared<fault::FaultMap>(map);
-        repaired->apply_repair(rr);
-        maps[static_cast<std::size_t>(i)] = std::move(repaired);
+        map.apply_repair(rr);
+        maps[static_cast<std::size_t>(i)] = std::move(map);
       }
     }
     res.mean_spares_used += static_cast<double>(rr.spares_used);
@@ -208,39 +206,45 @@ FullYieldResult analyze_yield_full(
     const int rows = design.config.rows_per_bank();
     const int code_bits = design.config.code_bits();
 
+    // Both engines run the same bank model: chip chips[i]'s post-repair
+    // overlay goes on lane first_lane + i, and one step() replays one
+    // trace cycle.
+    const auto attach_banks = [&](auto& sim, const std::vector<int>& chips,
+                                  int first_lane) {
+      for (std::size_t b = 0; b < design.banks.size(); ++b) {
+        auto m = std::make_shared<SramBankModel>(rows, code_bits);
+        for (std::size_t i = 0; i < chips.size(); ++i)
+          m->set_lane_faults(first_lane + static_cast<int>(i),
+                             maps[static_cast<std::size_t>(chips[i])],
+                             static_cast<int>(b));
+        sim.attach(design.banks[b], std::move(m));
+      }
+    };
+    const auto step = [&](auto& sim, const VerifyCycle& t) {
+      sim.set_bus(design.raddr, t.raddr);
+      sim.set_bus(design.waddr, t.waddr);
+      sim.set_bus(design.wdata, t.wdata);
+      sim.set_input(design.wen, t.wen);
+      sim.settle();
+      sim.clock_edge();
+    };
+
     std::vector<std::uint64_t> golden;
     golden.reserve(trace.size());
     {
       netlist::Simulator sim(design.nl, cells);
-      for (const netlist::InstId b : design.banks)
-        sim.attach(b, std::make_shared<SramBankModel>(rows, code_bits));
+      attach_banks(sim, {}, 0);
       for (const VerifyCycle& t : trace) {
-        sim.set_bus(design.raddr, t.raddr);
-        sim.set_bus(design.waddr, t.waddr);
-        sim.set_bus(design.wdata, t.wdata);
-        sim.set_input(design.wen, t.wen);
-        sim.settle();
-        sim.clock_edge();
+        step(sim, t);
         golden.push_back(sim.bus_value(design.rdata));
       }
     }
 
     const auto scalar_verify = [&](int chip) {
       netlist::Simulator sim(design.nl, cells);
-      for (std::size_t b = 0; b < design.banks.size(); ++b) {
-        auto m = std::make_shared<SramBankModel>(rows, code_bits);
-        m->set_faults(maps[static_cast<std::size_t>(chip)],
-                      static_cast<int>(b));
-        sim.attach(design.banks[b], std::move(m));
-      }
+      attach_banks(sim, {chip}, 0);
       for (std::size_t c = 0; c < trace.size(); ++c) {
-        const VerifyCycle& t = trace[c];
-        sim.set_bus(design.raddr, t.raddr);
-        sim.set_bus(design.waddr, t.waddr);
-        sim.set_bus(design.wdata, t.wdata);
-        sim.set_input(design.wen, t.wen);
-        sim.settle();
-        sim.clock_edge();
+        step(sim, trace[c]);
         if (sim.bus_value(design.rdata) != golden[c]) return false;
       }
       return true;
@@ -260,24 +264,10 @@ FullYieldResult analyze_yield_full(
 
     const auto batch_verify = [&](const std::vector<int>& group) {
       bitsim::BatchSim sim(*program);
-      for (std::size_t b = 0; b < design.banks.size(); ++b) {
-        auto m = std::make_shared<bitsim::BatchSramBank>(
-            *program, design.banks[b], rows, code_bits);
-        for (std::size_t i = 0; i < group.size(); ++i)
-          m->set_lane_faults(static_cast<int>(i) + 1,
-                             *maps[static_cast<std::size_t>(group[i])],
-                             static_cast<int>(b));
-        sim.attach(design.banks[b], std::move(m));
-      }
+      attach_banks(sim, group, 1);
       std::uint64_t diff = 0;
       for (std::size_t c = 0; c < trace.size(); ++c) {
-        const VerifyCycle& t = trace[c];
-        sim.set_bus(design.raddr, t.raddr);
-        sim.set_bus(design.waddr, t.waddr);
-        sim.set_bus(design.wdata, t.wdata);
-        sim.set_input(design.wen, t.wen);
-        sim.settle();
-        sim.clock_edge();
+        step(sim, trace[c]);
         for (std::size_t j = 0; j < design.rdata.size(); ++j) {
           const std::uint64_t g =
               ((golden[c] >> j) & 1) ? bitsim::kAllLanes : 0;

@@ -53,17 +53,17 @@ NetId macro_pin(const Netlist& nl, InstId inst, const std::string& pin) {
   return *net;
 }
 
-std::uint64_t MacroModel::peek(int row) const {
+std::uint64_t MacroModel::peek(int lane, int row) const {
   LIMS_FAIL(ErrorCode::kInvalidConfig,
-            "macro model exposes no inspectable state (peek row " << row
-                                                                  << ")");
+            "macro model exposes no inspectable state (peek lane "
+                << lane << " row " << row << ")");
 }
 
-void MacroModel::poke(int row, std::uint64_t value) {
+void MacroModel::poke(int lane, int row, std::uint64_t value) {
   (void)value;
   LIMS_FAIL(ErrorCode::kInvalidConfig,
-            "macro model exposes no inspectable state (poke row " << row
-                                                                  << ")");
+            "macro model exposes no inspectable state (poke lane "
+                << lane << " row " << row << ")");
 }
 
 Simulator::Simulator(const Netlist& nl, const tech::StdCellLib& cells)

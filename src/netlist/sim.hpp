@@ -22,18 +22,28 @@ namespace limsynth::netlist {
 /// engines use it to map instance cell names onto CellFunc templates.
 std::string cell_stem(const std::string& cell);
 
+/// Number of lanes a macro-port plane carries (bit L = lane L).
+inline constexpr int kLanes = 64;
+/// All-lanes mask.
+inline constexpr std::uint64_t kAllLanes = ~std::uint64_t{0};
+
 /// The macro-port contract between a simulation engine and the behavioral
-/// models attached to it. Ports are plain NetIds the model resolved once at
-/// attach (MacroModel::bind), so a clock edge costs no name lookups. Both
-/// netlist::Simulator and evsim::EventSimulator implement it.
+/// models attached to it. It is lane-wise: a port value is a plane whose
+/// bit L is the net's value in lane L. The scalar engines
+/// (netlist::Simulator, evsim::EventSimulator) present lane 0 only — read
+/// returns 0 or 1 and drive honours bit 0 — while bitsim::BatchSim presents
+/// all 64 lanes. Ports are plain NetIds the model resolved once at attach
+/// (MacroModel::bind), so a clock edge costs no name lookups.
 class MacroPorts {
  public:
   virtual ~MacroPorts() = default;
-  /// Current value of a port net (the event engine reads X as 0).
-  virtual bool read(NetId net) const = 0;
-  /// Drives a macro output net for the new cycle (the event engine lands
-  /// it at the annotated CK->pin delay).
-  virtual void drive(NetId net, bool value) = 0;
+  /// Current plane of a port net (the event engine reads X as 0).
+  virtual std::uint64_t read(NetId net) const = 0;
+  /// Drives a macro output net for the new cycle in the lanes set in
+  /// `lane_mask` (the event engine lands it at the annotated CK->pin
+  /// delay).
+  virtual void drive(NetId net, std::uint64_t value,
+                     std::uint64_t lane_mask) = 0;
   /// Counts one access cycle of `inst` for activity statistics.
   virtual void note_access(InstId inst) = 0;
 };
@@ -46,10 +56,12 @@ std::vector<NetId> macro_bus(const Netlist& nl, InstId inst,
 /// Single-pin form of macro_bus (e.g. "MATCH"); same error contract.
 NetId macro_pin(const Netlist& nl, InstId inst, const std::string& pin);
 
-/// Behavioral model for a macro instance (e.g. a memory brick bank).
-/// bind() runs once when the model is attached; on_clock() then runs on
-/// every clock edge with read access to current net values and the
-/// ability to drive its output values for the new cycle.
+/// Behavioral model for a macro instance (e.g. a memory brick bank), the
+/// one model contract every engine drives. bind() runs once when the model
+/// is attached; on_clock() then runs on every clock edge with read access
+/// to current port planes and the ability to drive its output lanes for
+/// the new cycle. Models keep per-lane state, so one model instance serves
+/// a scalar engine (lane 0) or a 64-lane bit-plane engine alike.
 class MacroModel {
  public:
   virtual ~MacroModel() = default;
@@ -61,22 +73,24 @@ class MacroModel {
   virtual void on_clock(MacroPorts& ports, InstId inst) = 0;
 
   // State mutation surface: models with internal storage expose it as
-  // state_rows() words of state_bits() bits each, so fault injectors
-  // (SEU campaigns) and checkpointers can read and corrupt live state
-  // without knowing the concrete model type. The default is a model with
-  // no inspectable state; peek/poke on it throw Error(kInvalidConfig).
+  // state_rows() words of state_bits() bits each per lane, so fault
+  // injectors (SEU campaigns) and checkpointers can read and corrupt live
+  // state without knowing the concrete model type. Scalar engines use
+  // lane 0. The default is a model with no inspectable state; peek/poke
+  // on it throw Error(kInvalidConfig).
   virtual int state_rows() const { return 0; }
   virtual int state_bits() const { return 0; }
-  /// Reads stored word `row`. Throws Error(kInvalidConfig) when the row is
-  /// out of range or the model exposes no state.
-  virtual std::uint64_t peek(int row) const;
-  /// Overwrites stored word `row` (value is masked to state_bits()). Same
-  /// error contract as peek. Side-band state (e.g. CAM validity flags) is
-  /// left untouched — a poke models corrupted storage, not a write access.
-  virtual void poke(int row, std::uint64_t value);
-  /// Single-event upset helper: XORs `mask` into stored word `row`.
-  void flip_state_bits(int row, std::uint64_t mask) {
-    poke(row, peek(row) ^ mask);
+  /// Reads lane `lane`'s stored word `row`. Throws Error(kInvalidConfig)
+  /// when the lane or row is out of range or the model exposes no state.
+  virtual std::uint64_t peek(int lane, int row) const;
+  /// Overwrites lane `lane`'s stored word `row` (value is masked to
+  /// state_bits()). Same error contract as peek. Side-band state (e.g. CAM
+  /// validity flags) is left untouched — a poke models corrupted storage,
+  /// not a write access.
+  virtual void poke(int lane, int row, std::uint64_t value);
+  /// Single-event upset helper: XORs `mask` into one lane's stored word.
+  void flip_state_bits(int lane, int row, std::uint64_t mask) {
+    poke(lane, row, peek(lane, row) ^ mask);
   }
 };
 
@@ -137,9 +151,11 @@ class Simulator final : public MacroPorts {
   const MacroBindings& macro_bindings() const { return macros_; }
 
  private:
-  // MacroPorts, reached by attached models only.
-  bool read(NetId net) const override { return value(net); }
-  void drive(NetId net, bool v) override { set_net(net, v, true); }
+  // MacroPorts, reached by attached models only: lane 0 of each plane.
+  std::uint64_t read(NetId net) const override { return value(net) ? 1 : 0; }
+  void drive(NetId net, std::uint64_t v, std::uint64_t lane_mask) override {
+    if (lane_mask & 1) set_net(net, (v & 1) != 0, true);
+  }
   void note_access(InstId inst) override { macros_.note_access(inst); }
 
   /// Per-instance resolution of cell function and pin nets, computed once

@@ -1,6 +1,6 @@
 #include "seu/batch.hpp"
 
-#include "bitsim/banks.hpp"
+#include "lim/macro_models.hpp"
 #include "util/error.hpp"
 #include "util/watchdog.hpp"
 
@@ -42,11 +42,11 @@ std::vector<InjectionResult> run_batch(
   }
 
   bitsim::BatchSim sim(kernel.program());
-  std::vector<std::shared_ptr<bitsim::BatchSramBank>> banks;
+  std::vector<std::shared_ptr<lim::SramBankModel>> banks;
   banks.reserve(d.banks.size());
   for (const netlist::InstId b : d.banks) {
-    auto m = std::make_shared<bitsim::BatchSramBank>(
-        kernel.program(), b, d.config.rows_per_bank(), d.config.code_bits(),
+    auto m = std::make_shared<lim::SramBankModel>(
+        d.config.rows_per_bank(), d.config.code_bits(),
         d.config.ecc ? d.config.bits : 0);
     sim.attach(b, m);
     banks.push_back(std::move(m));
@@ -71,7 +71,7 @@ std::vector<InjectionResult> run_batch(
         LIMS_CHECK_MSG(s.bank >= 0 &&
                            s.bank < static_cast<int>(d.banks.size()),
                        "SEU bank " << s.bank << " outside the design");
-        bitsim::BatchSramBank& m = *banks[static_cast<std::size_t>(s.bank)];
+        lim::SramBankModel& m = *banks[static_cast<std::size_t>(s.bank)];
         const std::uint64_t mask =
             burst_mask(s.bit, spec.burst, m.state_bits());
         LIMS_CHECK_MSG(mask != 0, "SEU bit " << s.bit << " outside the word");
@@ -111,7 +111,7 @@ std::vector<InjectionResult> run_batch(
   std::uint64_t corrected = 0;
   std::uint64_t due = 0;
   for (std::size_t b = 0; b < banks.size(); ++b) {
-    const bitsim::BatchSramBank& m = *banks[b];
+    const lim::SramBankModel& m = *banks[b];
     for (int r = 0; r < m.state_rows(); ++r) {
       const std::uint64_t gw = golden.mem[b][static_cast<std::size_t>(r)];
       for (int j = 0; j < m.state_bits(); ++j) {

@@ -39,7 +39,7 @@ void inject(EventSimulator& ev, const lim::SramDesign& d,
       const std::uint64_t mask =
           burst_mask(s.bit, spec.burst, m->state_bits());
       LIMS_CHECK_MSG(mask != 0, "SEU bit " << s.bit << " outside the word");
-      m->flip_state_bits(s.row, mask);
+      m->flip_state_bits(0, s.row, mask);
       return;
     }
     case SiteKind::kFlop:
@@ -118,7 +118,8 @@ GoldenRun run_golden(const SeuRig& rig) {
   for (const auto& bank : banks) {
     std::vector<std::uint64_t> rows;
     rows.reserve(static_cast<std::size_t>(bank->state_rows()));
-    for (int r = 0; r < bank->state_rows(); ++r) rows.push_back(bank->peek(r));
+    for (int r = 0; r < bank->state_rows(); ++r)
+      rows.push_back(bank->peek(0, r));
     golden.mem.push_back(std::move(rows));
   }
   return golden;
@@ -171,11 +172,12 @@ InjectionResult run_injection(const SeuRig& rig, const GoldenRun& golden,
   bool due = false;
   bool state_differs = false;
   for (std::size_t b = 0; b < banks.size(); ++b) {
-    corrected = corrected || banks[b]->corrected_seen();
-    due = due || banks[b]->due_seen();
+    corrected = corrected || (banks[b]->corrected_lanes() & 1) != 0;
+    due = due || (banks[b]->due_lanes() & 1) != 0;
     for (int r = 0; r < banks[b]->state_rows(); ++r)
-      state_differs = state_differs ||
-                      banks[b]->peek(r) != golden.mem[b][static_cast<std::size_t>(r)];
+      state_differs =
+          state_differs ||
+          banks[b]->peek(0, r) != golden.mem[b][static_cast<std::size_t>(r)];
   }
   res.latent = state_differs && !mismatch;
   if (due)

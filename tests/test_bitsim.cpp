@@ -1,15 +1,15 @@
 // Differential tests for the bit-plane batch kernel: levelization
 // properties, random-netlist fuzz against the scalar settle engine (all
 // 64 lanes, every net, every cycle), X-pessimism consistency against the
-// event engine, lane-parallel SRAM banks under multi-hot wordlines, and
-// the per-lane state surface (peek/poke/flip) the SEU campaign drives.
+// event engine, the lane-wise SRAM and CAM bank models on 64 lanes against
+// 64 scalar runs (multi-hot wordlines, per-lane starting state), and the
+// per-lane state surface (peek/poke/flip) the SEU campaign drives.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "bitsim/banks.hpp"
 #include "bitsim/bitsim.hpp"
 #include "brick/cache.hpp"
 #include "evsim/evsim.hpp"
@@ -223,54 +223,57 @@ TEST(Fuzz, EventEngineDefiniteValuesMatchLanesUnderXInit) {
   EXPECT_GT(definite_checked, 0);
 }
 
-// ------------------------------------------- lane-parallel SRAM banks
+// ----------------------------------------- lane-wise SRAM/CAM banks
 
 struct BankHarness {
   explicit BankHarness(liberty::Library l) : lib(std::move(l)) {}
   Netlist nl{"bankh"};
   liberty::Library lib;
   NetId clk = kNoNet;
-  std::vector<NetId> wwl, rwl, wdata, dout;
+  std::vector<NetId> wwl, rwl, wdata, sdata, dout;
+  NetId match = kNoNet;
   InstId bank = -1;
   int rows = 0, bits = 0;
 };
 
 /// A bank macro with its wordlines and data pins wired straight to ports,
 /// so tests can drive arbitrary (including multi-hot) WWL/RWL patterns
-/// that the real decoder never produces.
-BankHarness make_bank_harness(const Ctx& ctx, int rows, int bits) {
+/// that the real decoder never produces. A CAM has SDATA and MATCH in
+/// place of the read wordlines.
+BankHarness make_bank_harness(const Ctx& ctx, int rows, int bits,
+                              bool cam = false) {
   BankHarness h(liberty::characterize_stdcell_library(ctx.cells));
   h.rows = rows;
   h.bits = bits;
-  const brick::BrickSpec spec{tech::BitcellKind::kSram8T, rows, bits, 1};
+  const brick::BrickSpec spec{
+      cam ? tech::BitcellKind::kCamNor10T : tech::BitcellKind::kSram8T, rows,
+      bits, 1};
   h.lib.add(brick::BrickCache::global().get(spec, ctx.process)->libcell);
   h.clk = h.nl.add_net("clk");
   h.nl.set_clock(h.clk);
   h.nl.add_port("clk", netlist::PortDir::kInput, h.clk);
   std::vector<netlist::Connection> conns{{"CK", h.clk}};
-  h.wwl = h.nl.make_bus("wwl", rows);
-  h.rwl = h.nl.make_bus("rwl", rows);
-  h.wdata = h.nl.make_bus("wd", bits);
-  h.dout = h.nl.make_bus("do", bits);
-  for (int r = 0; r < rows; ++r) {
-    h.nl.add_port("wwl" + std::to_string(r), netlist::PortDir::kInput,
-                  h.wwl[static_cast<std::size_t>(r)]);
-    h.nl.add_port("rwl" + std::to_string(r), netlist::PortDir::kInput,
-                  h.rwl[static_cast<std::size_t>(r)]);
-    conns.push_back({"WWL[" + std::to_string(r) + "]",
-                     h.wwl[static_cast<std::size_t>(r)]});
-    conns.push_back({"RWL[" + std::to_string(r) + "]",
-                     h.rwl[static_cast<std::size_t>(r)]});
-  }
-  for (int j = 0; j < bits; ++j) {
-    h.nl.add_port("wd" + std::to_string(j), netlist::PortDir::kInput,
-                  h.wdata[static_cast<std::size_t>(j)]);
-    h.nl.add_port("do" + std::to_string(j), netlist::PortDir::kOutput,
-                  h.dout[static_cast<std::size_t>(j)]);
-    conns.push_back({"WDATA[" + std::to_string(j) + "]",
-                     h.wdata[static_cast<std::size_t>(j)]});
-    conns.push_back(
-        {"DO[" + std::to_string(j) + "]", h.dout[static_cast<std::size_t>(j)]});
+  // Each pin gets its own net, exported as a port of the same name.
+  const auto wire = [&](const std::string& base, int width,
+                        netlist::PortDir dir) {
+    std::vector<NetId> bus = h.nl.make_bus(base, width);
+    for (int i = 0; i < width; ++i) {
+      const std::string pin = base + "[" + std::to_string(i) + "]";
+      h.nl.add_port(pin, dir, bus[static_cast<std::size_t>(i)]);
+      conns.push_back({pin, bus[static_cast<std::size_t>(i)]});
+    }
+    return bus;
+  };
+  h.wwl = wire("WWL", rows, netlist::PortDir::kInput);
+  h.wdata = wire("WDATA", bits, netlist::PortDir::kInput);
+  h.dout = wire("DO", bits, netlist::PortDir::kOutput);
+  if (cam) {
+    h.sdata = wire("SDATA", bits, netlist::PortDir::kInput);
+    h.match = h.nl.add_net("MATCH");
+    h.nl.add_port("MATCH", netlist::PortDir::kOutput, h.match);
+    conns.push_back({"MATCH", h.match});
+  } else {
+    h.rwl = wire("RWL", rows, netlist::PortDir::kInput);
   }
   h.bank = h.nl.add_instance("bank0", spec.name(), std::move(conns));
   return h;
@@ -289,8 +292,7 @@ TEST(Banks, MultiHotWordlinesMatchScalarModelOnEveryLane) {
   ASSERT_EQ(fault::secded_total_bits(2), bits);
   for (const int data_bits : {0, 2}) {
     BatchSim batch(prog);
-    auto bmodel =
-        std::make_shared<BatchSramBank>(prog, h.bank, rows, bits, data_bits);
+    auto bmodel = std::make_shared<lim::SramBankModel>(rows, bits, data_bits);
     batch.attach(h.bank, bmodel);
 
     std::vector<std::unique_ptr<netlist::Simulator>> scalar;
@@ -330,10 +332,9 @@ TEST(Banks, MultiHotWordlinesMatchScalarModelOnEveryLane) {
             << "data_bits " << data_bits << " cycle " << c << " lane " << l;
         // Sticky SECDED observations agree lane by lane, every cycle.
         ASSERT_EQ((bmodel->corrected_lanes() >> l) & 1,
-                  smodel[lane]->corrected_seen() ? 1u : 0u)
+                  smodel[lane]->corrected_lanes())
             << "data_bits " << data_bits << " cycle " << c << " lane " << l;
-        ASSERT_EQ((bmodel->due_lanes() >> l) & 1,
-                  smodel[lane]->due_seen() ? 1u : 0u)
+        ASSERT_EQ((bmodel->due_lanes() >> l) & 1, smodel[lane]->due_lanes())
             << "data_bits " << data_bits << " cycle " << c << " lane " << l;
       }
       for (const std::uint64_t m : {bmodel->corrected_lanes(),
@@ -344,7 +345,7 @@ TEST(Banks, MultiHotWordlinesMatchScalarModelOnEveryLane) {
     for (int l = 0; l < kLanes; ++l)
       for (int r = 0; r < rows; ++r)
         ASSERT_EQ(bmodel->peek(l, r),
-                  smodel[static_cast<std::size_t>(l)]->peek(r))
+                  smodel[static_cast<std::size_t>(l)]->peek(0, r))
             << "data_bits " << data_bits << " lane " << l << " row " << r;
     if (data_bits == 0) {
       EXPECT_EQ(bmodel->corrected_lanes() | bmodel->due_lanes(), 0u);
@@ -354,20 +355,106 @@ TEST(Banks, MultiHotWordlinesMatchScalarModelOnEveryLane) {
   }
 }
 
-TEST(Banks, PerLanePeekPokeFlipAreIsolated) {
+TEST(Banks, CamSearchesMatchScalarModelOnEveryLane) {
   Ctx ctx;
-  const int rows = 4, bits = 5;
-  const BankHarness h = make_bank_harness(ctx, rows, bits);
+  const int rows = 8, bits = 3;  // narrow keys, so searches often hit
+  const BankHarness h = make_bank_harness(ctx, rows, bits, /*cam=*/true);
   const netlist::BoundDesign bd(h.nl, h.lib);
   const BatchProgram prog(bd, ctx.cells);
-  BatchSramBank bank(prog, h.bank, rows, bits);
+  BatchSim batch(prog);
+  auto bmodel = std::make_shared<lim::CamBankModel>(rows, bits);
+  batch.attach(h.bank, bmodel);
+
+  // Two lanes also carry match-line faults: row 2 stuck low, row 6 stuck
+  // high (so those lanes always hit, at row 6 at the latest).
+  fault::ArrayGeometry geom;
+  geom.rows = rows;
+  geom.cols = bits;
+  geom.cam = true;
+  const fault::FaultMap faults(
+      geom, {{fault::DefectKind::kMatchlineStuck0, 0, 2, 0, 0},
+             {fault::DefectKind::kMatchlineStuck1, 0, 6, 0, 0}});
+  const auto faulty = [](int l) { return l == 5 || l == 40; };
+
+  // Every lane starts from its own stored words and valid flags; the
+  // scalar run of that lane starts from the same state.
+  Rng rng(9);
+  std::vector<std::unique_ptr<netlist::Simulator>> scalar;
+  std::vector<std::shared_ptr<lim::CamBankModel>> smodel;
+  for (int l = 0; l < kLanes; ++l) {
+    scalar.push_back(std::make_unique<netlist::Simulator>(h.nl, ctx.cells));
+    smodel.push_back(std::make_shared<lim::CamBankModel>(rows, bits));
+    scalar.back()->attach(h.bank, smodel.back());
+    for (int r = 0; r < rows; ++r) {
+      const std::uint64_t v = rng.below(std::uint64_t{1} << bits);
+      const bool valid = rng.chance(0.5);
+      bmodel->set_entry(l, r, v, valid);
+      smodel.back()->set_entry(0, r, v, valid);
+    }
+    if (faulty(l)) {
+      bmodel->set_lane_faults(l, faults, 0);
+      smodel.back()->set_lane_faults(0, faults, 0);
+    }
+  }
+
+  int hits = 0, misses = 0;
+  for (int c = 0; c < 32; ++c) {
+    const auto drive = [&](NetId n, std::uint64_t plane) {
+      batch.set_input_lanes(n, plane);
+      for (int l = 0; l < kLanes; ++l)
+        scalar[static_cast<std::size_t>(l)]->set_input(n, (plane >> l) & 1);
+    };
+    // Sparse random writes (each row hot in ~1/8 of the lanes, sometimes
+    // several rows at once) and a fresh random search key per lane.
+    for (const NetId n : h.wwl)
+      drive(n, rng.next_u64() & rng.next_u64() & rng.next_u64());
+    for (const NetId n : h.wdata) drive(n, rng.next_u64());
+    for (const NetId n : h.sdata) drive(n, rng.next_u64());
+    batch.settle();
+    batch.clock_edge();
+    for (int l = 0; l < kLanes; ++l) {
+      const auto lane = static_cast<std::size_t>(l);
+      scalar[lane]->settle();
+      scalar[lane]->clock_edge();
+      const bool match = scalar[lane]->value(h.match);
+      ASSERT_EQ(batch.lane_value(h.match, l), match)
+          << "cycle " << c << " lane " << l;
+      ASSERT_EQ(batch.bus_value(h.dout, l), scalar[lane]->bus_value(h.dout))
+          << "cycle " << c << " lane " << l;
+      if (faulty(l)) {
+        // The stuck-high row always hits; the stuck-low row never does.
+        ASSERT_TRUE(match) << "cycle " << c << " lane " << l;
+        ASSERT_LE(batch.bus_value(h.dout, l), 6u) << "cycle " << c;
+        ASSERT_NE(batch.bus_value(h.dout, l), 2u) << "cycle " << c;
+      }
+      (match ? hits : misses) += 1;
+    }
+  }
+  EXPECT_GT(hits, 0);
+  EXPECT_GT(misses, 0);
+  // Final stored words and validity agree in every lane.
+  for (int l = 0; l < kLanes; ++l)
+    for (int r = 0; r < rows; ++r) {
+      const auto lane = static_cast<std::size_t>(l);
+      ASSERT_EQ(bmodel->peek(l, r), smodel[lane]->peek(0, r))
+          << "lane " << l << " row " << r;
+      ASSERT_EQ(bmodel->is_valid(l, r), smodel[lane]->is_valid(0, r))
+          << "lane " << l << " row " << r;
+    }
+}
+
+TEST(Banks, PerLanePeekPokeFlipAreIsolated) {
+  const int rows = 4, bits = 5;
+  lim::SramBankModel bank(rows, bits);
 
   EXPECT_EQ(bank.state_rows(), rows);
   EXPECT_EQ(bank.state_bits(), bits);
   bank.poke(3, 2, 0b10110);
   EXPECT_EQ(bank.peek(3, 2), 0b10110u);
   for (int l = 0; l < kLanes; ++l) {
-    if (l != 3) EXPECT_EQ(bank.peek(l, 2), 0u) << "lane " << l;
+    if (l != 3) {
+      EXPECT_EQ(bank.peek(l, 2), 0u) << "lane " << l;
+    }
   }
   // Values are masked to the word width.
   bank.poke(1, 0, ~std::uint64_t{0});

@@ -80,8 +80,9 @@ TEST(Bound, ResolvesCellsAndConnsOnce) {
       EXPECT_EQ(c.net, inst.conns[k].net);
       EXPECT_EQ(bd.pin_name(c.pin), inst.conns[k].pin);
       EXPECT_EQ(c.is_output, Netlist::is_output_pin(inst.conns[k].pin));
-      if (const NetId* via_find = inst.find_pin(inst.conns[k].pin))
+      if (const NetId* via_find = inst.find_pin(inst.conns[k].pin)) {
         EXPECT_EQ(bd.pin_net(id, c.pin), *via_find);
+      }
     }
   }
 }

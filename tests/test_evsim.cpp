@@ -10,6 +10,7 @@
 #include <sstream>
 #include <string>
 
+#include "bitsim/bitsim.hpp"
 #include "brick/cache.hpp"
 #include "evsim/crosscheck.hpp"
 #include "evsim/evsim.hpp"
@@ -19,6 +20,7 @@
 #include "lim/flow.hpp"
 #include "lim/macro_models.hpp"
 #include "lim/sram_builder.hpp"
+#include "netlist/bound.hpp"
 #include "netlist/generators.hpp"
 #include "power/power.hpp"
 #include "synth/synth.hpp"
@@ -400,8 +402,9 @@ std::shared_ptr<netlist::MacroModel> bank_model(bool cam, int rows, int bits) {
 }
 
 /// Attach must reject a macro instance lacking one of the model's port
-/// pins with Error(kInvalidConfig) naming the pin — on both engines, and
-/// before any clock edge runs.
+/// pins with Error(kInvalidConfig) naming the pin — on every engine (the
+/// settle engine, the event engine and the bit-plane kernel), and before
+/// any clock edge runs.
 TEST(MacroPorts, AttachRejectsMissingPortPinOnBothEngines) {
   Ctx ctx;
   const int rows = 8, bits = 4;
@@ -416,13 +419,18 @@ TEST(MacroPorts, AttachRejectsMissingPortPinOnBothEngines) {
     const TimingAnnotation ann = annotate_delays(m->nl, m->lib, ctx.cells);
     netlist::Simulator settle(m->nl, ctx.cells);
     EventSimulator ev(m->nl, ann);
+    const netlist::BoundDesign bound(m->nl, m->lib);
+    const bitsim::BatchProgram program(bound, ctx.cells);
+    bitsim::BatchSim batch(program);
     const std::string label =
         std::string(tc.cam ? "cam" : "sram") + " omit '" + tc.omit + "'";
     if (tc.omit[0] == '\0') {
-      // The complete instance binds on both engines: the harness is sound.
+      // The complete instance binds on every engine: the harness is sound.
       EXPECT_NO_THROW(settle.attach(m->inst, bank_model(tc.cam, rows, bits)))
           << label;
       EXPECT_NO_THROW(ev.attach(m->inst, bank_model(tc.cam, rows, bits)))
+          << label;
+      EXPECT_NO_THROW(batch.attach(m->inst, bank_model(tc.cam, rows, bits)))
           << label;
       continue;
     }
@@ -443,8 +451,12 @@ TEST(MacroPorts, AttachRejectsMissingPortPinOnBothEngines) {
     expect_rejected("evsim", [&] {
       ev.attach(m->inst, bank_model(tc.cam, rows, bits));
     });
+    expect_rejected("bitsim", [&] {
+      batch.attach(m->inst, bank_model(tc.cam, rows, bits));
+    });
     // A rejected attach leaves the instance unmodelled.
     EXPECT_EQ(ev.model(m->inst), nullptr) << label;
+    EXPECT_EQ(batch.model(m->inst), nullptr) << label;
     EXPECT_FALSE(settle.macro_bindings().attached(m->inst)) << label;
   }
 }

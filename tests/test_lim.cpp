@@ -142,7 +142,7 @@ std::uint64_t faulty_sram_read(bool ecc) {
   netlist::Simulator sim(d.nl, ctx.cells);
   auto model =
       std::make_shared<SramBankModel>(cfg.rows_per_bank(), cfg.code_bits());
-  model->set_faults(map, 0);
+  model->set_lane_faults(0, *map, 0);
   sim.attach(d.banks[0], model);
   sim.settle();
   // Write 0x2A5 (bit 3 clear, so the stuck-at-1 cell corrupts the word).
@@ -689,31 +689,35 @@ TEST(MacroState, SramPeekPokeRoundTripsAndMasks) {
   SramBankModel bank(8, 10);
   EXPECT_EQ(bank.state_rows(), 8);
   EXPECT_EQ(bank.state_bits(), 10);
-  bank.poke(3, 0x2AB);
-  EXPECT_EQ(bank.peek(3), 0x2ABu);
+  bank.poke(0, 3, 0x2AB);
+  EXPECT_EQ(bank.peek(0, 3), 0x2ABu);
   // Values are masked to the stored word width, never stored wider.
-  bank.poke(3, 0xFFFFF);
-  EXPECT_EQ(bank.peek(3), 0x3FFu);
-  EXPECT_EQ(bank.peek(0), 0u);
+  bank.poke(0, 3, 0xFFFFF);
+  EXPECT_EQ(bank.peek(0, 3), 0x3FFu);
+  EXPECT_EQ(bank.peek(0, 0), 0u);
 }
 
 TEST(MacroState, FlipStateBitsXorsTheStoredWord) {
   SramBankModel bank(8, 10);
-  bank.poke(5, 0x155);
-  bank.flip_state_bits(5, 0b11);  // adjacent double-bit burst
-  EXPECT_EQ(bank.peek(5), 0x156u);
-  bank.flip_state_bits(5, 0b11);  // flipping back restores
-  EXPECT_EQ(bank.peek(5), 0x155u);
+  bank.poke(0, 5, 0x155);
+  bank.flip_state_bits(0, 5, 0b11);  // adjacent double-bit burst
+  EXPECT_EQ(bank.peek(0, 5), 0x156u);
+  bank.flip_state_bits(0, 5, 0b11);  // flipping back restores
+  EXPECT_EQ(bank.peek(0, 5), 0x155u);
 }
 
 TEST(MacroState, OutOfRangeAccessThrowsInvalidConfig) {
   SramBankModel bank(8, 10);
   for (int row : {-1, 8, 100}) {
-    EXPECT_THROW(bank.peek(row), Error) << row;
-    EXPECT_THROW(bank.poke(row, 0), Error) << row;
+    EXPECT_THROW(bank.peek(0, row), Error) << row;
+    EXPECT_THROW(bank.poke(0, row, 0), Error) << row;
+  }
+  for (int lane : {-1, 64}) {
+    EXPECT_THROW(bank.peek(lane, 0), Error) << lane;
+    EXPECT_THROW(bank.poke(lane, 0, 0), Error) << lane;
   }
   try {
-    bank.peek(8);
+    bank.peek(0, 8);
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::kInvalidConfig);
   }
@@ -721,14 +725,14 @@ TEST(MacroState, OutOfRangeAccessThrowsInvalidConfig) {
 
 TEST(MacroState, CamPokeCorruptsTheWordButNotValidity) {
   CamBankModel cam(8, 6);
-  cam.set_word(2, 0x15, /*valid=*/true);
+  cam.set_entry(0, 2, 0x15, /*valid=*/true);
   // An SEU in the index array flips stored bits; the validity flag is
   // side-band state a storage upset cannot reach.
-  cam.flip_state_bits(2, 0x1);
-  EXPECT_EQ(cam.peek(2), 0x14u);
-  EXPECT_TRUE(cam.is_valid(2));
-  cam.poke(4, 0x3F);
-  EXPECT_FALSE(cam.is_valid(4));  // poke does not validate an entry
+  cam.flip_state_bits(0, 2, 0x1);
+  EXPECT_EQ(cam.peek(0, 2), 0x14u);
+  EXPECT_TRUE(cam.is_valid(0, 2));
+  cam.poke(0, 4, 0x3F);
+  EXPECT_FALSE(cam.is_valid(0, 4));  // poke does not validate an entry
 }
 
 TEST(MacroState, DefaultMacroModelExposesNoState) {
@@ -737,8 +741,8 @@ TEST(MacroState, DefaultMacroModelExposesNoState) {
   } model;
   EXPECT_EQ(model.state_rows(), 0);
   EXPECT_EQ(model.state_bits(), 0);
-  EXPECT_THROW(model.peek(0), Error);
-  EXPECT_THROW(model.poke(0, 1), Error);
+  EXPECT_THROW(model.peek(0, 0), Error);
+  EXPECT_THROW(model.poke(0, 0, 1), Error);
 }
 
 }  // namespace
