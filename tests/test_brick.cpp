@@ -193,16 +193,24 @@ INSTANTIATE_TEST_SUITE_P(Table1, GoldenVsTool,
 // library covers all memory brick sizes, types, and aspect ratios"): the
 // estimator must track the golden simulation within a loose band across
 // bitcell kinds and odd shapes, not just the Table 1 pair.
+//
+// The kind is held as a full int so the struct has no padding: gtest names
+// each case by the bytes of its parameter, and padding bytes are
+// indeterminate, which would give the cases a different name on every build.
 struct FamilyCase {
-  tech::BitcellKind kind;
+  FamilyCase(BitcellKind k, int w, int b, int s)
+      : kind(static_cast<int>(k)), words(w), bits(b), stack(s) {}
+  int kind;
   int words, bits, stack;
 };
+static_assert(sizeof(FamilyCase) == 4 * sizeof(int), "FamilyCase must have no padding");
 
 class FamilyCoverage : public ::testing::TestWithParam<FamilyCase> {};
 
 TEST_P(FamilyCoverage, EstimatorTracksGolden) {
   const auto c = GetParam();
-  const Brick b = compile_brick({c.kind, c.words, c.bits, c.stack}, proc());
+  const Brick b = compile_brick(
+      {static_cast<BitcellKind>(c.kind), c.words, c.bits, c.stack}, proc());
   const BrickEstimate est = estimate_brick(b);
   const GoldenMeasurement rd = golden_read(b);
   EXPECT_NEAR(est.read_delay / rd.delay, 1.0, 0.20)
