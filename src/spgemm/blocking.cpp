@@ -1,5 +1,7 @@
 #include "spgemm/blocking.hpp"
 
+#include <algorithm>
+
 #include "util/error.hpp"
 
 namespace limsynth::spgemm {
@@ -10,10 +12,10 @@ std::vector<BlockTask> make_block_tasks(const SparseMatrix& a,
   LIMS_CHECK(a.cols() == b.rows());
   LIMS_CHECK(config.row_block >= 1 && config.col_stripe >= 1);
   std::vector<BlockTask> tasks;
-  int rb = 0;
-  for (int r0 = 0; r0 < a.rows(); r0 += config.row_block, ++rb) {
-    int cs = 0;
-    for (int c0 = 0; c0 < b.cols(); c0 += config.col_stripe, ++cs) {
+  int cs = 0;
+  for (int c0 = 0; c0 < b.cols(); c0 += config.col_stripe, ++cs) {
+    int rb = 0;
+    for (int r0 = 0; r0 < a.rows(); r0 += config.row_block, ++rb) {
       BlockTask t;
       t.row_block_index = rb;
       t.col_stripe_index = cs;
@@ -25,22 +27,6 @@ std::vector<BlockTask> make_block_tasks(const SparseMatrix& a,
     }
   }
   return tasks;
-}
-
-BlockedColumns slice_rows(const SparseMatrix& a, int row_begin, int row_end) {
-  LIMS_CHECK(row_begin >= 0 && row_end <= a.rows() && row_begin < row_end);
-  BlockedColumns out;
-  out.row_begin = row_begin;
-  out.entries.resize(static_cast<std::size_t>(a.cols()));
-  for (int c = 0; c < a.cols(); ++c) {
-    for (int k = a.col_begin(c); k < a.col_end(c); ++k) {
-      const int r = a.row_index(k);
-      if (r >= row_begin && r < row_end)
-        out.entries[static_cast<std::size_t>(c)].push_back(
-            {r - row_begin, a.value(k)});
-    }
-  }
-  return out;
 }
 
 }  // namespace limsynth::spgemm

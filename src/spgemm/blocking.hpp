@@ -24,19 +24,34 @@ struct BlockTask {
   int col_begin = 0, col_end = 0;
 };
 
-/// Enumerates all (row block x column stripe) tasks for C = A * B.
+/// Enumerates all (row block x column stripe) tasks for C = A * B,
+/// stripe-major: every row block of one column stripe, then the next
+/// stripe, so each stripe of C is complete before the next one starts.
 std::vector<BlockTask> make_block_tasks(const SparseMatrix& a,
                                         const SparseMatrix& b,
                                         const BlockingConfig& config);
 
-/// Nonzeros of A restricted to a row block, as per-column slices
-/// (row indices rebased to the block: 0..row_block).
-struct BlockedColumns {
-  int row_begin = 0;
-  /// entries[k] = entries of A(:, k) with row in [row_begin, row_end),
-  /// rebased; only columns listed in `nonempty` have entries.
-  std::vector<std::vector<Entry>> entries;
+/// Zero-copy row-block view of one CSC column: positions [begin, end) of
+/// A's arrays (a.row_index(k), a.value(k)). A row's index inside its block
+/// is a.row_index(k) - row_begin.
+struct RowRange {
+  int begin = 0;
+  int end = 0;
+  int size() const { return end - begin; }
+  bool empty() const { return begin == end; }
 };
-BlockedColumns slice_rows(const SparseMatrix& a, int row_begin, int row_end);
+
+/// The entries of A(:, col) from position `from` up to the first row at or
+/// past row_end. Walking the row blocks in increasing order, `from` is
+/// a.col_begin(col) for the first block and the previous range's end after
+/// that. The scan stops one entry past the range, so its cost is bounded
+/// by the entries the block then streams.
+inline RowRange row_range(const SparseMatrix& a, int col, int from,
+                          int row_end) {
+  RowRange r{from, from};
+  const int last = a.col_end(col);
+  while (r.end < last && a.row_index(r.end) < row_end) ++r.end;
+  return r;
+}
 
 }  // namespace limsynth::spgemm

@@ -49,6 +49,38 @@ SparseMatrix SparseMatrix::from_triplets(
   return m;
 }
 
+SparseMatrix SparseMatrix::from_csc(int rows, int cols,
+                                    std::vector<int> col_ptr,
+                                    std::vector<int> row_idx,
+                                    std::vector<double> values) {
+  LIMS_CHECK(rows >= 0 && cols >= 0);
+  LIMS_CHECK_MSG(col_ptr.size() == static_cast<std::size_t>(cols) + 1,
+                 "col_ptr has " << col_ptr.size() << " offsets, want "
+                                << cols + 1);
+  LIMS_CHECK(row_idx.size() == values.size());
+  LIMS_CHECK(col_ptr.front() == 0 &&
+             col_ptr.back() == static_cast<int>(row_idx.size()));
+  for (int c = 0; c < cols; ++c) {
+    const int begin = col_ptr[static_cast<std::size_t>(c)];
+    const int end = col_ptr[static_cast<std::size_t>(c) + 1];
+    LIMS_CHECK_MSG(begin <= end && end <= col_ptr.back(),
+                   "col_ptr out of order at column " << c);
+    for (int k = begin; k < end; ++k) {
+      const int r = row_idx[static_cast<std::size_t>(k)];
+      LIMS_CHECK_MSG(r >= 0 && r < rows,
+                     "row " << r << " of column " << c << " out of bounds");
+      LIMS_CHECK_MSG(k == begin || row_idx[static_cast<std::size_t>(k) - 1] < r,
+                     "rows of column " << c << " not strictly increasing");
+    }
+  }
+  for (double& v : values) v = 0.0 + v;
+  SparseMatrix m(rows, cols);
+  m.col_ptr_ = std::move(col_ptr);
+  m.row_idx_ = std::move(row_idx);
+  m.values_ = std::move(values);
+  return m;
+}
+
 std::vector<Entry> SparseMatrix::column(int col) const {
   LIMS_CHECK(col >= 0 && col < cols_);
   std::vector<Entry> out;
@@ -83,7 +115,7 @@ bool SparseMatrix::approx_equal(const SparseMatrix& other,
   for (std::size_t i = 0; i < values_.size(); ++i) {
     const double a = values_[i], b = other.values_[i];
     const double scale = std::max({std::fabs(a), std::fabs(b), 1.0});
-    if (std::fabs(a - b) > rel_tol * scale) return false;
+    if (!(std::fabs(a - b) <= rel_tol * scale)) return false;
   }
   return true;
 }

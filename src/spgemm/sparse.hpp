@@ -23,6 +23,15 @@ class SparseMatrix {
   static SparseMatrix from_triplets(
       int rows, int cols, std::vector<std::tuple<int, int, double>> triplets);
 
+  /// Adopts ready CSC arrays after checking them: col_ptr has cols+1
+  /// non-decreasing offsets from 0 to nnz, and each column's rows are
+  /// strictly increasing and in range. Values are stored as 0.0 + v, the
+  /// sum from_triplets forms for a single entry (a -0.0 becomes +0.0), so
+  /// both factories give bit-identical matrices for duplicate-free input.
+  static SparseMatrix from_csc(int rows, int cols, std::vector<int> col_ptr,
+                               std::vector<int> row_idx,
+                               std::vector<double> values);
+
   int rows() const { return rows_; }
   int cols() const { return cols_; }
   std::int64_t nnz() const { return static_cast<std::int64_t>(row_idx_.size()); }
@@ -41,7 +50,8 @@ class SparseMatrix {
   double avg_col_nnz() const;
   int max_col_nnz() const;
 
-  /// Approximate equality (same pattern, values within rel_tol).
+  /// Approximate equality (same pattern, values within rel_tol). A NaN
+  /// value on either side never matches.
   bool approx_equal(const SparseMatrix& other, double rel_tol = 1e-9) const;
 
   /// Number of multiply-add operations in computing this * other.

@@ -2,7 +2,8 @@
 // properties, random-netlist fuzz against the scalar settle engine (all
 // 64 lanes, every net, every cycle), X-pessimism consistency against the
 // event engine, the lane-wise SRAM and CAM bank models on 64 lanes against
-// 64 scalar runs (multi-hot wordlines, per-lane starting state), and the
+// 64 scalar runs and an independent per-lane word-array reference
+// (multi-hot wordlines, per-lane starting state), and the
 // per-lane state surface (peek/poke/flip) the SEU campaign drives.
 #include <gtest/gtest.h>
 
@@ -279,6 +280,85 @@ BankHarness make_bank_harness(const Ctx& ctx, int rows, int bits,
   return h;
 }
 
+// Independent per-lane references for the bank semantics: one plain word
+// per row, written from the data sheet rather than from the plane models,
+// so a fault common to every lane of SramBankModel/CamBankModel (and so to
+// the scalar runs too) still shows up.
+
+/// Lane `lane` of a bus given as one plane per bit.
+std::uint64_t lane_word(const std::vector<std::uint64_t>& planes, int lane) {
+  std::uint64_t w = 0;
+  for (std::size_t j = 0; j < planes.size(); ++j)
+    w |= ((planes[j] >> lane) & 1) << j;
+  return w;
+}
+
+/// One lane of a 1R1W SRAM bank: every hot write row latches WDATA; a read
+/// returns the AND of the hot read rows (precharged bitlines) and leaves
+/// DO alone when no row is read; the SECDED flags are sticky.
+struct RefSramLane {
+  std::vector<std::uint64_t> word;
+  int bits;
+  int data_bits;
+  std::uint64_t dout = 0;
+  bool read_once = false;
+  bool corrected = false, due = false;
+
+  RefSramLane(int rows, int b, int d)
+      : word(static_cast<std::size_t>(rows), 0), bits(b), data_bits(d) {}
+
+  void clock(std::uint64_t wwl, std::uint64_t wdata, std::uint64_t rwl) {
+    for (std::size_t r = 0; r < word.size(); ++r)
+      if ((wwl >> r) & 1) word[r] = wdata;
+    if (rwl == 0) return;
+    std::uint64_t w = (std::uint64_t{1} << bits) - 1;
+    for (std::size_t r = 0; r < word.size(); ++r)
+      if ((rwl >> r) & 1) w &= word[r];
+    dout = w;
+    read_once = true;
+    if (data_bits > 0) {
+      const fault::SecdedDecode d = fault::secded_decode(w, data_bits);
+      corrected = corrected || d.corrected;
+      due = due || d.uncorrectable;
+    }
+  }
+};
+
+/// One lane of a CAM bank: writes store and validate; a search hits the
+/// lowest valid row holding the key, with optional match lines stuck low
+/// (never hit) or high (always hit); DO is 0 on a miss.
+struct RefCamLane {
+  std::vector<std::uint64_t> word;
+  std::vector<bool> valid;
+  int stuck_low = -1, stuck_high = -1;
+  bool match = false;
+  std::uint64_t dout = 0;
+
+  explicit RefCamLane(int rows)
+      : word(static_cast<std::size_t>(rows), 0),
+        valid(static_cast<std::size_t>(rows), false) {}
+
+  void clock(std::uint64_t wwl, std::uint64_t wdata, std::uint64_t key) {
+    for (std::size_t r = 0; r < word.size(); ++r)
+      if ((wwl >> r) & 1) {
+        word[r] = wdata;
+        valid[r] = true;
+      }
+    match = false;
+    dout = 0;
+    for (std::size_t r = 0; r < word.size(); ++r) {
+      const int row = static_cast<int>(r);
+      const bool hit = row == stuck_high ||
+                       (row != stuck_low && valid[r] && word[r] == key);
+      if (hit) {
+        match = true;
+        dout = r;
+        return;
+      }
+    }
+  }
+};
+
 TEST(Banks, MultiHotWordlinesMatchScalarModelOnEveryLane) {
   Ctx ctx;
   const int rows = 8, bits = 6;
@@ -304,6 +384,8 @@ TEST(Banks, MultiHotWordlinesMatchScalarModelOnEveryLane) {
       scalar.back()->attach(h.bank, smodel.back());
     }
 
+    std::vector<RefSramLane> ref(kLanes, RefSramLane(rows, bits, data_bits));
+
     // Dense random wordline planes: with eight rows at p=0.5 per lane,
     // nearly every lane sees multi-hot reads and destructive multi-writes
     // every cycle — the semantics the one-hot decoder never exercises.
@@ -311,17 +393,20 @@ TEST(Banks, MultiHotWordlinesMatchScalarModelOnEveryLane) {
     bool mixed_flags = false;  // some cycle split the lanes' SECDED flags
     for (int c = 0; c < 24; ++c) {
       const auto drive = [&](const std::vector<NetId>& bus) {
+        std::vector<std::uint64_t> planes;
         for (const NetId n : bus) {
           const std::uint64_t plane = rng.next_u64();
+          planes.push_back(plane);
           batch.set_input_lanes(n, plane);
           for (int l = 0; l < kLanes; ++l)
             scalar[static_cast<std::size_t>(l)]->set_input(n,
                                                            (plane >> l) & 1);
         }
+        return planes;
       };
-      drive(h.wwl);
-      drive(h.rwl);
-      drive(h.wdata);
+      const auto wwl = drive(h.wwl);
+      const auto rwl = drive(h.rwl);
+      const auto wdata = drive(h.wdata);
       batch.settle();
       batch.clock_edge();
       for (int l = 0; l < kLanes; ++l) {
@@ -329,6 +414,16 @@ TEST(Banks, MultiHotWordlinesMatchScalarModelOnEveryLane) {
         scalar[lane]->settle();
         scalar[lane]->clock_edge();
         ASSERT_EQ(batch.bus_value(h.dout, l), scalar[lane]->bus_value(h.dout))
+            << "data_bits " << data_bits << " cycle " << c << " lane " << l;
+        RefSramLane& want = ref[lane];
+        want.clock(lane_word(wwl, l), lane_word(wdata, l), lane_word(rwl, l));
+        if (want.read_once) {
+          ASSERT_EQ(batch.bus_value(h.dout, l), want.dout)
+              << "data_bits " << data_bits << " cycle " << c << " lane " << l;
+        }
+        ASSERT_EQ((bmodel->corrected_lanes() >> l) & 1, want.corrected ? 1u : 0u)
+            << "data_bits " << data_bits << " cycle " << c << " lane " << l;
+        ASSERT_EQ((bmodel->due_lanes() >> l) & 1, want.due ? 1u : 0u)
             << "data_bits " << data_bits << " cycle " << c << " lane " << l;
         // Sticky SECDED observations agree lane by lane, every cycle.
         ASSERT_EQ((bmodel->corrected_lanes() >> l) & 1,
@@ -343,10 +438,13 @@ TEST(Banks, MultiHotWordlinesMatchScalarModelOnEveryLane) {
     }
     // Final storage state matches word-for-word in every lane.
     for (int l = 0; l < kLanes; ++l)
-      for (int r = 0; r < rows; ++r)
-        ASSERT_EQ(bmodel->peek(l, r),
-                  smodel[static_cast<std::size_t>(l)]->peek(0, r))
+      for (int r = 0; r < rows; ++r) {
+        const auto lane = static_cast<std::size_t>(l);
+        ASSERT_EQ(bmodel->peek(l, r), smodel[lane]->peek(0, r))
             << "data_bits " << data_bits << " lane " << l << " row " << r;
+        ASSERT_EQ(bmodel->peek(l, r), ref[lane].word[static_cast<std::size_t>(r)])
+            << "data_bits " << data_bits << " lane " << l << " row " << r;
+      }
     if (data_bits == 0) {
       EXPECT_EQ(bmodel->corrected_lanes() | bmodel->due_lanes(), 0u);
     } else {
@@ -381,7 +479,9 @@ TEST(Banks, CamSearchesMatchScalarModelOnEveryLane) {
   Rng rng(9);
   std::vector<std::unique_ptr<netlist::Simulator>> scalar;
   std::vector<std::shared_ptr<lim::CamBankModel>> smodel;
+  std::vector<RefCamLane> ref(kLanes, RefCamLane(rows));
   for (int l = 0; l < kLanes; ++l) {
+    const auto lane = static_cast<std::size_t>(l);
     scalar.push_back(std::make_unique<netlist::Simulator>(h.nl, ctx.cells));
     smodel.push_back(std::make_shared<lim::CamBankModel>(rows, bits));
     scalar.back()->attach(h.bank, smodel.back());
@@ -390,26 +490,37 @@ TEST(Banks, CamSearchesMatchScalarModelOnEveryLane) {
       const bool valid = rng.chance(0.5);
       bmodel->set_entry(l, r, v, valid);
       smodel.back()->set_entry(0, r, v, valid);
+      ref[lane].word[static_cast<std::size_t>(r)] = v;
+      ref[lane].valid[static_cast<std::size_t>(r)] = valid;
     }
     if (faulty(l)) {
       bmodel->set_lane_faults(l, faults, 0);
       smodel.back()->set_lane_faults(0, faults, 0);
+      ref[lane].stuck_low = 2;
+      ref[lane].stuck_high = 6;
     }
   }
 
   int hits = 0, misses = 0;
   for (int c = 0; c < 32; ++c) {
-    const auto drive = [&](NetId n, std::uint64_t plane) {
-      batch.set_input_lanes(n, plane);
-      for (int l = 0; l < kLanes; ++l)
-        scalar[static_cast<std::size_t>(l)]->set_input(n, (plane >> l) & 1);
+    const auto drive = [&](const std::vector<NetId>& bus, auto next_plane) {
+      std::vector<std::uint64_t> planes;
+      for (const NetId n : bus) {
+        const std::uint64_t plane = next_plane();
+        planes.push_back(plane);
+        batch.set_input_lanes(n, plane);
+        for (int l = 0; l < kLanes; ++l)
+          scalar[static_cast<std::size_t>(l)]->set_input(n, (plane >> l) & 1);
+      }
+      return planes;
     };
     // Sparse random writes (each row hot in ~1/8 of the lanes, sometimes
     // several rows at once) and a fresh random search key per lane.
-    for (const NetId n : h.wwl)
-      drive(n, rng.next_u64() & rng.next_u64() & rng.next_u64());
-    for (const NetId n : h.wdata) drive(n, rng.next_u64());
-    for (const NetId n : h.sdata) drive(n, rng.next_u64());
+    const auto wwl = drive(h.wwl, [&] {
+      return rng.next_u64() & rng.next_u64() & rng.next_u64();
+    });
+    const auto wdata = drive(h.wdata, [&] { return rng.next_u64(); });
+    const auto key = drive(h.sdata, [&] { return rng.next_u64(); });
     batch.settle();
     batch.clock_edge();
     for (int l = 0; l < kLanes; ++l) {
@@ -420,6 +531,12 @@ TEST(Banks, CamSearchesMatchScalarModelOnEveryLane) {
       ASSERT_EQ(batch.lane_value(h.match, l), match)
           << "cycle " << c << " lane " << l;
       ASSERT_EQ(batch.bus_value(h.dout, l), scalar[lane]->bus_value(h.dout))
+          << "cycle " << c << " lane " << l;
+      RefCamLane& want = ref[lane];
+      want.clock(lane_word(wwl, l), lane_word(wdata, l), lane_word(key, l));
+      ASSERT_EQ(batch.lane_value(h.match, l), want.match)
+          << "cycle " << c << " lane " << l;
+      ASSERT_EQ(batch.bus_value(h.dout, l), want.dout)
           << "cycle " << c << " lane " << l;
       if (faulty(l)) {
         // The stuck-high row always hits; the stuck-low row never does.
@@ -439,6 +556,10 @@ TEST(Banks, CamSearchesMatchScalarModelOnEveryLane) {
       ASSERT_EQ(bmodel->peek(l, r), smodel[lane]->peek(0, r))
           << "lane " << l << " row " << r;
       ASSERT_EQ(bmodel->is_valid(l, r), smodel[lane]->is_valid(0, r))
+          << "lane " << l << " row " << r;
+      ASSERT_EQ(bmodel->peek(l, r), ref[lane].word[static_cast<std::size_t>(r)])
+          << "lane " << l << " row " << r;
+      ASSERT_EQ(bmodel->is_valid(l, r), ref[lane].valid[static_cast<std::size_t>(r)])
           << "lane " << l << " row " << r;
     }
 }

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <limits>
+
 #include "spgemm/blocking.hpp"
 #include "spgemm/generate.hpp"
 #include "spgemm/reference.hpp"
@@ -47,6 +51,56 @@ TEST(Sparse, StatsAndEquality) {
       3, 3, {{0, 0, 1.0}, {2, 0, 4.0}, {1, 1, 3.0}, {0, 2, 2.0}, {2, 2, 5.0001}});
   EXPECT_FALSE(m.approx_equal(other, 1e-9));
   EXPECT_TRUE(m.approx_equal(other, 1e-3));
+}
+
+TEST(Sparse, NanNeverApproxEqual) {
+  const SparseMatrix m = small_fixed();
+  SparseMatrix nan = SparseMatrix::from_triplets(
+      3, 3,
+      {{0, 0, 1.0},
+       {2, 0, 4.0},
+       {1, 1, std::numeric_limits<double>::quiet_NaN()},
+       {0, 2, 2.0},
+       {2, 2, 5.0}});
+  EXPECT_FALSE(nan.approx_equal(m, 1e-9));
+  EXPECT_FALSE(m.approx_equal(nan, 1e-9));
+  EXPECT_FALSE(nan.approx_equal(nan, 1e-9));
+}
+
+TEST(Sparse, CscFactoryMatchesTriplets) {
+  // Same entries through both factories, including a -0.0 that
+  // from_triplets stores as +0.0.
+  const SparseMatrix csc = SparseMatrix::from_csc(
+      4, 3, {0, 2, 2, 4}, {1, 3, 0, 2}, {2.0, -0.0, 1.5, -4.0});
+  const SparseMatrix trip = SparseMatrix::from_triplets(
+      4, 3, {{3, 0, -0.0}, {1, 0, 2.0}, {2, 2, -4.0}, {0, 2, 1.5}});
+  ASSERT_EQ(csc.nnz(), trip.nnz());
+  for (int c = 0; c < 3; ++c) {
+    ASSERT_EQ(csc.col_begin(c), trip.col_begin(c));
+    for (int k = csc.col_begin(c); k < csc.col_end(c); ++k) {
+      EXPECT_EQ(csc.row_index(k), trip.row_index(k));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(csc.value(k)),
+                std::bit_cast<std::uint64_t>(trip.value(k)));
+    }
+  }
+  EXPECT_FALSE(std::signbit(csc.value(1)));
+  EXPECT_EQ(SparseMatrix::from_csc(2, 0, {0}, {}, {}).nnz(), 0);
+}
+
+TEST(Sparse, CscFactoryRejectsMalformedArrays) {
+  const auto make = [](std::vector<int> ptr, std::vector<int> rows) {
+    const std::vector<double> vals(rows.size(), 1.0);
+    return SparseMatrix::from_csc(3, 2, std::move(ptr), std::move(rows), vals);
+  };
+  EXPECT_NO_THROW(make({0, 2, 3}, {0, 2, 1}));
+  EXPECT_THROW(make({0, 2}, {0, 2}), Error);            // short col_ptr
+  EXPECT_THROW(make({1, 2, 3}, {0, 2, 1}), Error);      // not from 0
+  EXPECT_THROW(make({0, 2, 2}, {0, 2, 1}), Error);      // not to nnz
+  EXPECT_THROW(make({0, 4, 3}, {0, 1, 2}), Error);      // decreasing
+  EXPECT_THROW(make({0, 2, 3}, {2, 0, 1}), Error);      // unsorted rows
+  EXPECT_THROW(make({0, 2, 3}, {1, 1, 0}), Error);      // duplicate row
+  EXPECT_THROW(make({0, 2, 3}, {0, 3, 1}), Error);      // row out of range
+  EXPECT_THROW(SparseMatrix::from_csc(3, 1, {0, 1}, {0}, {}), Error);
 }
 
 TEST(Reference, HandComputedProduct) {
@@ -147,19 +201,42 @@ TEST(Blocking, TasksTileTheProduct) {
   EXPECT_EQ(tasks.back().col_end, 300);
 }
 
-TEST(Blocking, SliceRowsRebasesAndPartitions) {
+TEST(Blocking, TasksAreStripeMajor) {
+  Rng rng(9);
+  const SparseMatrix a = gen_erdos_renyi(300, 900, rng);
+  BlockingConfig cfg;
+  cfg.row_block = 128;
+  cfg.col_stripe = 32;
+  const auto tasks = make_block_tasks(a, a, cfg);
+  // Every row block of a stripe, in order, before the next stripe.
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    EXPECT_EQ(tasks[i].col_stripe_index, static_cast<int>(i / 3));
+    EXPECT_EQ(tasks[i].row_block_index, static_cast<int>(i % 3));
+    EXPECT_EQ(tasks[i].row_begin, 128 * tasks[i].row_block_index);
+    EXPECT_EQ(tasks[i].col_begin, 32 * tasks[i].col_stripe_index);
+  }
+}
+
+TEST(Blocking, RowRangesRebaseAndPartition) {
   Rng rng(10);
   const SparseMatrix a = gen_erdos_renyi(200, 800, rng);
-  const BlockedColumns lo = slice_rows(a, 0, 100);
-  const BlockedColumns hi = slice_rows(a, 100, 200);
   std::int64_t total = 0;
   for (int c = 0; c < a.cols(); ++c) {
-    total += static_cast<std::int64_t>(lo.entries[static_cast<std::size_t>(c)].size() +
-                                       hi.entries[static_cast<std::size_t>(c)].size());
-    for (const Entry& e : hi.entries[static_cast<std::size_t>(c)]) {
-      EXPECT_GE(e.row, 0);
-      EXPECT_LT(e.row, 100);  // rebased
+    const RowRange lo = row_range(a, c, a.col_begin(c), 100);
+    const RowRange hi = row_range(a, c, lo.end, 200);
+    EXPECT_EQ(lo.begin, a.col_begin(c));
+    EXPECT_EQ(hi.begin, lo.end);  // adjacent blocks split the column
+    EXPECT_EQ(hi.end, a.col_end(c));
+    total += lo.size() + hi.size();
+    for (int k = lo.begin; k < lo.end; ++k) {
+      EXPECT_GE(a.row_index(k), 0);
+      EXPECT_LT(a.row_index(k), 100);
     }
+    for (int k = hi.begin; k < hi.end; ++k) {
+      EXPECT_GE(a.row_index(k) - 100, 0);
+      EXPECT_LT(a.row_index(k) - 100, 100);  // rebased
+    }
+    EXPECT_TRUE(row_range(a, c, hi.end, 300).empty());
   }
   EXPECT_EQ(total, a.nnz());
 }
