@@ -1,6 +1,7 @@
 #include "netlist/bound.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 
 #include "netlist/sim.hpp"
 #include "util/error.hpp"
@@ -101,10 +102,18 @@ BoundDesign::BoundDesign(const Netlist& nl, const liberty::Library& lib)
       // Intern the full pin name.
       const auto [it, inserted] =
           pin_ids_.emplace(c.pin, static_cast<PinId>(pin_names_.size()));
-      if (inserted) pin_names_.push_back(c.pin);
+      base = base_of(c.pin);
+      if (inserted) {
+        pin_names_.push_back(c.pin);
+        const auto bit = base_ids_.emplace(
+            base, static_cast<PinBaseId>(base_ids_.size())).first;
+        pin_bus_.emplace_back(bit->second,
+                              base.size() == c.pin.size()
+                                  ? -1
+                                  : std::atoi(c.pin.c_str() + base.size() + 1));
+      }
       bc.pin = it->second;
       bc.is_output = Netlist::is_output_pin(c.pin);
-      base = base_of(c.pin);
       const auto sit = slots.find(base);
       if (sit != slots.end() && sit->second.second == bc.is_output) {
         bc.slot = static_cast<std::int16_t>(sit->second.first);
@@ -203,6 +212,11 @@ Span<InstId> BoundDesign::instances_of(LibCellId cid) const {
 PinId BoundDesign::pin_id(const std::string& name) const {
   const auto it = pin_ids_.find(name);
   return it == pin_ids_.end() ? kNoPin : it->second;
+}
+
+PinBaseId BoundDesign::pin_base_id(const std::string& base) const {
+  const auto it = base_ids_.find(base);
+  return it == base_ids_.end() ? kNoPin : it->second;
 }
 
 NetId BoundDesign::pin_net(InstId inst, PinId pin) const {

@@ -35,6 +35,9 @@ class MacroModel;
 using LibCellId = std::int32_t;
 /// Interned pin-name id, unique per BoundDesign.
 using PinId = std::int32_t;
+/// Interned bus base-name id ("DI" for "DI[3]" and for a scalar "DI"),
+/// unique per BoundDesign and separate from the PinId space.
+using PinBaseId = std::int32_t;
 
 inline constexpr LibCellId kNoCell = -1;
 inline constexpr PinId kNoPin = -1;
@@ -168,6 +171,11 @@ class BoundDesign {
   InstId driver_inst(NetId net) const {
     return net_driver_[static_cast<std::size_t>(net)].inst;
   }
+  /// The driving instance and its global conn index; inst is -1 when the
+  /// net has no instance driver.
+  const SinkRef& driver_ref(NetId net) const {
+    return net_driver_[static_cast<std::size_t>(net)];
+  }
   /// The driving conn, or nullptr when the net has no instance driver.
   const BoundConn* driver(NetId net) const {
     const SinkRef& d = net_driver_[static_cast<std::size_t>(net)];
@@ -176,6 +184,8 @@ class BoundDesign {
   const BoundConn& conn_at(std::uint32_t global) const {
     return conns_[global];
   }
+  /// Number of resolved connections (live instances only).
+  std::size_t conn_count() const { return conns_.size(); }
   /// Total sink pin capacitance per net, precomputed at bind time.
   double sink_cap(NetId net) const {
     return net_sink_cap_[static_cast<std::size_t>(net)];
@@ -188,6 +198,17 @@ class BoundDesign {
     return pin_names_[static_cast<std::size_t>(pin)];
   }
   std::size_t pin_count() const { return pin_names_.size(); }
+  /// Base name of a pin: "RWL[17]" and "RWL" share one id.
+  PinBaseId pin_base(PinId pin) const {
+    return pin_bus_[static_cast<std::size_t>(pin)].first;
+  }
+  /// Bus index of a pin ("RWL[17]" -> 17), or -1 for a scalar pin.
+  int pin_bus_index(PinId pin) const {
+    return pin_bus_[static_cast<std::size_t>(pin)].second;
+  }
+  /// Id of a base name, or kNoPin when no conn in the design uses it.
+  PinBaseId pin_base_id(const std::string& base) const;
+  std::size_t pin_base_count() const { return base_ids_.size(); }
   /// Net on `inst` connected through pin id `pin` (binary search over the
   /// instance's sorted pin table), or kNoNet.
   NetId pin_net(InstId inst, PinId pin) const;
@@ -232,6 +253,9 @@ class BoundDesign {
 
   std::unordered_map<std::string, PinId> pin_ids_;
   std::vector<std::string> pin_names_;
+  /// Per PinId: (base id, bus index or -1).
+  std::vector<std::pair<PinBaseId, int>> pin_bus_;
+  std::unordered_map<std::string, PinBaseId> base_ids_;
   /// Per instance (same ranges as inst_conn_range_): (PinId, NetId) sorted
   /// by PinId for binary-search pin_net.
   std::vector<std::pair<PinId, NetId>> inst_pin_sorted_;

@@ -1,5 +1,6 @@
 #include "netlist/netlist.hpp"
 
+#include <algorithm>
 #include <cstdio>
 
 namespace limsynth::netlist {
@@ -9,6 +10,7 @@ NetId Netlist::add_net(const std::string& name) {
                  "duplicate net " << name);
   const NetId id = static_cast<NetId>(nets_.size());
   nets_.push_back(Net{name});
+  port_flags_.push_back(0);
   net_index_.emplace(nets_.back().name, id);
   index_valid_ = false;
   ++revision_;
@@ -56,13 +58,40 @@ InstId Netlist::add_instance(const std::string& name, const std::string& cell,
 
 void Netlist::remove_instance(InstId inst) {
   LIMS_CHECK(inst >= 0 && inst < static_cast<InstId>(instances_.size()));
-  dead_[static_cast<std::size_t>(inst)] = true;
-  index_valid_ = false;
+  const auto i = static_cast<std::size_t>(inst);
+  if (index_valid_ && !dead_[i]) {
+    if (multi_driven_) {
+      index_valid_ = false;
+    } else {
+      // Drop exactly the entries the rebuild would no longer produce; the
+      // survivors keep their instance order.
+      for (const auto& c : instances_[i].conns) {
+        const auto net = static_cast<std::size_t>(c.net);
+        if (drivers_[net].inst == inst) drivers_[net] = PinRef{-1, ""};
+        auto& sinks = sinks_[net];
+        sinks.erase(std::remove_if(sinks.begin(), sinks.end(),
+                                   [inst](const PinRef& s) {
+                                     return s.inst == inst;
+                                   }),
+                    sinks.end());
+      }
+    }
+  }
+  dead_[i] = true;
+  ++revision_;
+}
+
+void Netlist::set_cell(InstId inst, const std::string& cell) {
+  LIMS_CHECK(inst >= 0 && inst < static_cast<InstId>(instances_.size()));
+  instances_[static_cast<std::size_t>(inst)].cell = cell;
   ++revision_;
 }
 
 void Netlist::add_port(const std::string& name, PortDir dir, NetId net) {
   ports_.push_back(Port{name, dir, net});
+  if (net >= 0 && net < static_cast<NetId>(port_flags_.size()))
+    port_flags_[static_cast<std::size_t>(net)] |=
+        dir == PortDir::kInput ? kPortIn : kPortOut;
   index_valid_ = false;
   ++revision_;
 }
@@ -110,11 +139,13 @@ bool Netlist::is_output_pin(const std::string& pin) {
 void Netlist::rebuild_index() const {
   drivers_.assign(nets_.size(), PinRef{-1, ""});
   sinks_.assign(nets_.size(), {});
+  multi_driven_ = false;
   for (std::size_t i = 0; i < instances_.size(); ++i) {
     if (dead_[i]) continue;
     for (const auto& c : instances_[i].conns) {
       const auto net = static_cast<std::size_t>(c.net);
       if (is_output_pin(c.pin)) {
+        if (drivers_[net].inst >= 0) multi_driven_ = true;
         drivers_[net] = PinRef{static_cast<InstId>(i), c.pin};
       } else {
         sinks_[net].push_back(PinRef{static_cast<InstId>(i), c.pin});
@@ -122,6 +153,7 @@ void Netlist::rebuild_index() const {
     }
   }
   index_valid_ = true;
+  ++index_builds_;
 }
 
 Netlist::PinRef Netlist::driver_of(NetId net) const {
@@ -132,18 +164,6 @@ Netlist::PinRef Netlist::driver_of(NetId net) const {
 const std::vector<Netlist::PinRef>& Netlist::sinks_of(NetId net) const {
   if (!index_valid_) rebuild_index();
   return sinks_[static_cast<std::size_t>(net)];
-}
-
-bool Netlist::is_primary_input(NetId net) const {
-  for (const auto& p : ports_)
-    if (p.net == net && p.dir == PortDir::kInput) return true;
-  return false;
-}
-
-bool Netlist::is_primary_output(NetId net) const {
-  for (const auto& p : ports_)
-    if (p.net == net && p.dir == PortDir::kOutput) return true;
-  return false;
 }
 
 }  // namespace limsynth::netlist

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <map>
-
-#include "util/error.hpp"
+#include <cstdint>
 
 namespace limsynth::place {
 
@@ -15,67 +12,59 @@ using netlist::InstId;
 using netlist::Netlist;
 using netlist::NetId;
 
-/// Splits "RWL[17]" into base/index; index -1 for scalar pins.
-std::pair<std::string, int> split_pin(const std::string& pin) {
-  const auto pos = pin.find('[');
-  if (pos == std::string::npos) return {pin, -1};
-  return {pin.substr(0, pos), std::atoi(pin.c_str() + pos + 1)};
-}
+using Point = std::pair<double, double>;
 
-/// Physical pin positions on placed macros: wordline pins climb the left
-/// edge (their row's height), data pins spread along the top/bottom edges.
-/// This is what makes a tall stacked bank's wordline routing long — the
-/// Fig. 4b config-D decode penalty.
-class MacroPins {
- public:
-  MacroPins(const Netlist& nl, const std::vector<MacroPlacement>& macros) {
-    for (const auto& m : macros) {
-      auto& info = info_[m.inst];
-      info.rect = m.rect;
-      for (const auto& c : nl.instance(m.inst).conns) {
-        const auto [base, index] = split_pin(c.pin);
-        if (index >= 0)
-          info.max_index[base] = std::max(info.max_index[base], index);
-      }
+/// Physical pin positions on placed macros, one per global conn id of each
+/// macro conn (other entries unused): wordline pins climb the left edge
+/// (their row's height), data pins spread along the top/bottom edges. This
+/// is what makes a tall stacked bank's wordline routing long — the Fig. 4b
+/// config-D decode penalty. Macros are fixed, so every position is
+/// resolved once, before refinement.
+std::vector<Point> macro_pin_positions(
+    const netlist::BoundDesign& bd, const std::vector<MacroPlacement>& macros) {
+  std::vector<Point> pos(bd.conn_count(), {0.0, 0.0});
+  const netlist::PinBaseId rwl = bd.pin_base_id("RWL");
+  const netlist::PinBaseId wwl = bd.pin_base_id("WWL");
+  // Highest bus index per base on the macro at hand (0 when none).
+  std::vector<int> max_index(bd.pin_base_count(), 0);
+  for (const auto& m : macros) {
+    const auto conns = bd.conns(m.inst);
+    for (const auto& c : conns) {
+      int& mi = max_index[static_cast<std::size_t>(bd.pin_base(c.pin))];
+      mi = std::max(mi, bd.pin_bus_index(c.pin));
     }
-  }
-
-  bool is_macro(InstId inst) const { return info_.count(inst) > 0; }
-
-  std::pair<double, double> pin_pos(InstId inst, const std::string& pin) const {
-    const auto it = info_.find(inst);
-    LIMS_CHECK(it != info_.end());
-    const auto& info = it->second;
-    const layout::Rect& r = info.rect;
-    const auto [base, index] = split_pin(pin);
-    if (index < 0) return {r.x0, r.y0};  // CK and scalar pins: corner
-    const auto mi = info.max_index.find(base);
-    const double frac =
-        (mi == info.max_index.end() || mi->second == 0)
-            ? 0.5
-            : (static_cast<double>(index) + 0.5) / (mi->second + 1);
+    const layout::Rect& r = m.rect;
     // The brick stack runs along the macro's long axis; wordline pins
     // spread along it (their row's physical position), data pins sit at
     // the periphery end of the stack.
     const bool horizontal = r.width() >= r.height();
-    if (base == "RWL" || base == "WWL") {
-      return horizontal
-                 ? std::pair{r.x0 + frac * r.width(), r.y0}
-                 : std::pair{r.x0, r.y0 + frac * r.height()};
+    std::uint32_t g = bd.conn_begin(m.inst);
+    for (const auto& c : conns) {
+      const netlist::PinBaseId base = bd.pin_base(c.pin);
+      const int index = bd.pin_bus_index(c.pin);
+      const int top = max_index[static_cast<std::size_t>(base)];
+      Point& p = pos[g++];
+      if (index < 0) {
+        p = {r.x0, r.y0};  // CK and scalar pins: corner
+        continue;
+      }
+      const double frac =
+          top == 0 ? 0.5 : (static_cast<double>(index) + 0.5) / (top + 1);
+      if (base == rwl || base == wwl) {
+        p = horizontal ? Point{r.x0 + frac * r.width(), r.y0}
+                       : Point{r.x0, r.y0 + frac * r.height()};
+      } else {
+        // DO/MATCH/WDATA/SDATA: at the stack's periphery end, spread
+        // across the short dimension.
+        p = horizontal ? Point{r.x0, r.y0 + frac * r.height()}
+                       : Point{r.x0 + frac * r.width(), r.y0};
+      }
     }
-    // DO/MATCH/WDATA/SDATA: at the stack's periphery end, spread across
-    // the short dimension.
-    return horizontal ? std::pair{r.x0, r.y0 + frac * r.height()}
-                      : std::pair{r.x0 + frac * r.width(), r.y0};
+    for (const auto& c : conns)
+      max_index[static_cast<std::size_t>(bd.pin_base(c.pin))] = 0;
   }
-
- private:
-  struct Info {
-    layout::Rect rect;
-    std::map<std::string, int> max_index;
-  };
-  std::map<InstId, Info> info_;
-};
+  return pos;
+}
 
 }  // namespace
 
@@ -92,6 +81,7 @@ Floorplan place_design(const netlist::BoundDesign& bd,
   // Macros may be rotated; the floorplanner lays their long side along the
   // bottom band to keep the block close to square.
   std::vector<InstId> macro_ids;
+  std::vector<char> is_macro(n_inst, 0);
   std::vector<std::pair<double, double>> macro_wh;  // placed (w, h)
   double macro_row_width = 0.0, macro_max_height = 0.0;
   for (std::size_t i = 0; i < n_inst; ++i) {
@@ -100,6 +90,7 @@ Floorplan place_design(const netlist::BoundDesign& bd,
     const liberty::LibCell& cell = bd.cell(id);
     if (cell.is_macro) {
       macro_ids.push_back(id);
+      is_macro[i] = 1;
       fp.macro_area += cell.area;
       double w = cell.width > 0 ? cell.width : std::sqrt(cell.area);
       double h = cell.height > 0 ? cell.height : std::sqrt(cell.area);
@@ -147,9 +138,8 @@ Floorplan place_design(const netlist::BoundDesign& bd,
   const double cx = fp.width / 2.0;
   const double cy = macro_band + logic_height / 2.0;
   for (std::size_t i = 0; i < n_inst; ++i) {
-    const auto id = static_cast<InstId>(i);
-    if (!nl.is_live(id)) continue;
-    if (!bd.cell(id).is_macro) fp.positions[i] = {cx, cy};
+    if (nl.is_live(static_cast<InstId>(i)) && !is_macro[i])
+      fp.positions[i] = {cx, cy};
   }
 
   // Port anchor positions.
@@ -173,33 +163,36 @@ Floorplan place_design(const netlist::BoundDesign& bd,
     }
   }
 
-  const MacroPins macro_pins(nl, fp.macros);
-  auto endpoint_pos = [&](InstId inst,
-                          const std::string& pin) -> std::pair<double, double> {
-    if (macro_pins.is_macro(inst)) return macro_pins.pin_pos(inst, pin);
-    return fp.positions[static_cast<std::size_t>(inst)];
+  // Endpoint positions by global conn id: a macro conn's fixed pin, or the
+  // current position of a logic cell.
+  const std::vector<Point> macro_pin_pos = macro_pin_positions(bd, fp.macros);
+  auto endpoint_pos = [&](InstId inst, std::uint32_t conn) -> const Point& {
+    return is_macro[static_cast<std::size_t>(inst)]
+               ? macro_pin_pos[conn]
+               : fp.positions[static_cast<std::size_t>(inst)];
   };
 
+  const NetId clock = nl.clock();
   for (int iter = 0; iter < opt.refine_iterations; ++iter) {
     for (std::size_t i = 0; i < n_inst; ++i) {
       const auto id = static_cast<InstId>(i);
       if (!nl.is_live(id)) continue;
-      if (bd.cell(id).is_macro) continue;  // fixed
+      if (is_macro[i]) continue;  // fixed
       double sx = 0.0, sy = 0.0;
       int n = 0;
-      for (const auto& conn : nl.instance(id).conns) {
-        if (conn.net == nl.clock()) continue;  // ideal clock: no pull
+      for (const auto& conn : bd.conns(id)) {
+        if (conn.net == clock) continue;  // ideal clock: no pull
         // Pull toward the driver and all other sinks of each connected net.
-        const auto drv = nl.driver_of(conn.net);
+        const auto& drv = bd.driver_ref(conn.net);
         if (drv.inst >= 0 && drv.inst != id) {
-          const auto [px, py] = endpoint_pos(drv.inst, drv.pin);
+          const auto [px, py] = endpoint_pos(drv.inst, drv.conn);
           sx += px;
           sy += py;
           ++n;
         }
-        for (const auto& sink : nl.sinks_of(conn.net)) {
+        for (const auto& sink : bd.sinks(conn.net)) {
           if (sink.inst == id) continue;
-          const auto [px, py] = endpoint_pos(sink.inst, sink.pin);
+          const auto [px, py] = endpoint_pos(sink.inst, sink.conn);
           sx += px;
           sy += py;
           ++n;
@@ -232,13 +225,13 @@ Floorplan place_design(const netlist::BoundDesign& bd,
       y1 = std::max(y1, y);
       ++endpoints;
     };
-    const auto drv = nl.driver_of(net);
+    const auto& drv = bd.driver_ref(net);
     if (drv.inst >= 0) {
-      const auto [px, py] = endpoint_pos(drv.inst, drv.pin);
+      const auto [px, py] = endpoint_pos(drv.inst, drv.conn);
       touch(px, py);
     }
-    for (const auto& sink : nl.sinks_of(net)) {
-      const auto [px, py] = endpoint_pos(sink.inst, sink.pin);
+    for (const auto& sink : bd.sinks(net)) {
+      const auto [px, py] = endpoint_pos(sink.inst, sink.conn);
       touch(px, py);
     }
     const auto& pp = port_pos[static_cast<std::size_t>(net)];

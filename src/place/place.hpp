@@ -60,7 +60,8 @@ struct Floorplan {
 };
 
 /// Floorplans and places the bound design; extracts wire parasitics.
-/// Cell identity (macro vs logic, area, dimensions) is read through the
+/// Cell identity (macro vs logic, area, dimensions) and connectivity
+/// (drivers, sinks, macro pin bus positions) are read through the
 /// binding's dense tables. Throws Error(kStaleBinding) if the netlist
 /// changed since binding.
 Floorplan place_design(const netlist::BoundDesign& bound,

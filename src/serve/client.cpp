@@ -21,10 +21,21 @@ void Client::reconnect() {
 CallResult Client::call(const std::string& request_json, int timeout_ms) {
   CallResult res;
   if (!conn_) return res;
+  const auto start = std::chrono::steady_clock::now();
   res.write_err = write_frame(*conn_, request_json, timeout_ms);
-  if (res.write_err != TxErr::kNone) return res;
+  int wait_ms = timeout_ms;
+  if (res.write_err != TxErr::kNone) {
+    // A failed write does not mean no reply: a saturated server writes its
+    // refusal and closes before reading, so the request write can fail
+    // after the refusal is already queued here. Read it within what is
+    // left of the call's budget.
+    const auto spent = std::chrono::duration_cast<std::chrono::milliseconds>(
+                           std::chrono::steady_clock::now() - start)
+                           .count();
+    wait_ms = static_cast<int>(std::max<long long>(timeout_ms - spent, 1));
+  }
   const FrameStatus st =
-      reader_.poll(*conn_, timeout_ms, timeout_ms, &res.payload);
+      reader_.poll(*conn_, wait_ms, wait_ms, &res.payload);
   res.read_status = st;
   if (st != FrameStatus::kFrame) return res;
   res.transport_ok = true;

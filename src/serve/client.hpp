@@ -57,7 +57,9 @@ class Client {
   bool connected() const { return conn_ != nullptr; }
 
   /// Sends one request payload and waits up to `timeout_ms` for the
-  /// reply frame.
+  /// reply frame. A failed write still reads a reply the server had
+  /// already sent (a saturation refusal written before it closed): such a
+  /// call is transport_ok and keeps the failure in write_err.
   CallResult call(const std::string& request_json, int timeout_ms = 30000);
 
   /// call() plus shed handling: a reply carrying retry_after_ms is

@@ -38,7 +38,8 @@ int sweep_dead(Netlist& nl, const liberty::Library& lib) {
   // Read through a const view (the non-const instance() accessor would
   // invalidate the connectivity index on every touch). Cell identities
   // never change during dead sweeping, so resolve the macro flag once
-  // instead of a library map lookup per instance per pass.
+  // instead of a library map lookup per instance per pass. remove_instance
+  // edits the index in place, so the whole sweep builds it at most once.
   const Netlist& cnl = nl;
   std::vector<char> is_macro(nl.instance_storage_size(), 0);
   for (std::size_t i = 0; i < is_macro.size(); ++i) {
@@ -125,10 +126,10 @@ int size_gates(Netlist& nl, const liberty::Library& lib,
   // Resolve each instance's library cell and std-cell template once; the
   // arrays are updated in place when a gate is resized, so no pass ever
   // re-pays a name lookup. Topology is frozen during sizing (buffering ran
-  // already), only drive strengths change.
-  // Read through a const view: the non-const instance() accessor
-  // invalidates the connectivity index (and bumps the revision), which
-  // would force a sinks_of rebuild per instance per pass.
+  // already), only drive strengths change: set_cell swaps a cell without
+  // touching the connectivity index, so the whole pass builds it at most
+  // once. Reads go through a const view: the non-const instance() accessor
+  // would invalidate the index.
   const Netlist& cnl = nl;
   const std::size_t n_inst = nl.instance_storage_size();
   std::vector<const liberty::LibCell*> lib_of(n_inst, nullptr);
@@ -180,13 +181,12 @@ int size_gates(Netlist& nl, const liberty::Library& lib,
       const tech::StdCell& chosen =
           cells.pick(static_cast<tech::CellFunc>(func_of[i]), drive_needed);
       if (chosen.name != cnl.instance(id).cell) {
-        nl.instance(id).cell = chosen.name;
+        nl.set_cell(id, chosen.name);
         lib_of[i] = &lib.cell(chosen.name);
         std_of[i] = &chosen;
         ++pass_resized;
       }
     }
-    nl.touch();
     resized += pass_resized;
     if (pass_resized == 0) break;
   }

@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "layout/brick_layout.hpp"
 #include "layout/checker.hpp"
 #include "layout/geometry.hpp"
 #include "layout/leafcell.hpp"
 #include "layout/svg.hpp"
+#include "lim/sram_builder.hpp"
+#include "place/place.hpp"
+#include "synth/synth.hpp"
 #include "tech/process.hpp"
 
 namespace limsynth::layout {
@@ -174,6 +180,65 @@ TEST(Checker, IgnoresDisjointIncompatibles) {
       {"legacy", Rect{20, 0, 30, 10}, PatternClass::kLogicLegacy},
   };
   EXPECT_TRUE(check_patterns(regions).clean());
+}
+
+// Every number a floorplan carries, bit for bit: FNV-1a over 64-bit words.
+std::uint64_t floorplan_digest(const place::Floorplan& fp) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&](std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (v >> (8 * byte)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  const auto mixd = [&](double v) { mix(std::bit_cast<std::uint64_t>(v)); };
+  for (double v : {fp.width, fp.height, fp.area, fp.cell_area, fp.macro_area,
+                   fp.logic_region.x0, fp.logic_region.y0, fp.logic_region.x1,
+                   fp.logic_region.y1, fp.total_wirelength})
+    mixd(v);
+  for (const auto& m : fp.macros) {
+    mix(static_cast<std::uint64_t>(m.inst));
+    for (double v : {m.rect.x0, m.rect.y0, m.rect.x1, m.rect.y1}) mixd(v);
+  }
+  for (const auto& [x, y] : fp.positions) {
+    mixd(x);
+    mixd(y);
+  }
+  for (const auto& p : fp.parasitics) {
+    mixd(p.wire_cap);
+    mixd(p.wire_res);
+    mixd(p.length);
+  }
+  return h;
+}
+
+// Fig. 4b configuration E (128x10 in 4 banks of 16-row bricks) through the
+// flow's two placements: the trial placement after synthesis, whose wire
+// caps drive the resize, and the final placement of the resized netlist.
+// The digests were recorded before placement moved onto the bound
+// connectivity; any change to them must be deliberate.
+TEST(Floorplan, PinnedConfigEPlacements) {
+  const tech::Process process = tech::default_process();
+  const tech::StdCellLib cells(process);
+  lim::SramDesign d =
+      lim::build_sram(lim::SramConfig{128, 10, 4, 16}, process, cells);
+  synth::synthesize(d.nl, d.lib, cells);
+  std::vector<double> wire_caps(d.nl.nets().size(), 0.0);
+  std::uint64_t trial_digest = 0;
+  {
+    const place::Floorplan trial = place::place_design(d.nl, d.lib, process);
+    trial_digest = floorplan_digest(trial);
+    for (std::size_t n = 0; n < wire_caps.size(); ++n)
+      wire_caps[n] = trial.parasitics[n].wire_cap;
+  }
+  synth::SynthOptions resize_opt;
+  resize_opt.net_wire_caps = &wire_caps;
+  const int resized = synth::resize_gates(d.nl, d.lib, cells, resize_opt);
+  const place::Floorplan fp = place::place_design(d.nl, d.lib, process);
+  ASSERT_EQ(fp.macros.size(), 4u);
+  EXPECT_EQ(resized, 321);
+  EXPECT_EQ(trial_digest, 0x4a70f36e5c40c4e1ull);
+  EXPECT_EQ(floorplan_digest(fp), 0x943f2096a3ef8f17ull);
 }
 
 }  // namespace

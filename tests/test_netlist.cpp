@@ -91,6 +91,117 @@ TEST(Netlist, OutputPinConvention) {
   EXPECT_FALSE(Netlist::is_output_pin("RWL[3]"));
 }
 
+TEST(Netlist, PortDirectionFlagsPerNet) {
+  Netlist nl("t");
+  const NetId a = nl.add_net("a");
+  const NetId y = nl.add_net("y");
+  const NetId both = nl.add_net("both");
+  nl.add_port("a", PortDir::kInput, a);
+  nl.add_port("y", PortDir::kOutput, y);
+  nl.add_port("both_in", PortDir::kInput, both);
+  nl.add_port("both_out", PortDir::kOutput, both);
+  EXPECT_TRUE(nl.is_primary_input(a));
+  EXPECT_FALSE(nl.is_primary_output(a));
+  EXPECT_FALSE(nl.is_primary_input(y));
+  EXPECT_TRUE(nl.is_primary_output(y));
+  EXPECT_TRUE(nl.is_primary_input(both));
+  EXPECT_TRUE(nl.is_primary_output(both));
+  // Nets added after the ports, and ids that name no net, are not ports.
+  const NetId late = nl.add_net("late");
+  EXPECT_FALSE(nl.is_primary_input(late));
+  EXPECT_FALSE(nl.is_primary_output(late));
+  EXPECT_FALSE(nl.is_primary_input(kNoNet));
+  EXPECT_FALSE(nl.is_primary_output(late + 1));
+}
+
+TEST(Netlist, SetCellKeepsIndexAndAdvancesRevision) {
+  Netlist nl("t");
+  const NetId a = nl.add_net("a");
+  const NetId m = nl.add_net("m");
+  const NetId y = nl.add_net("y");
+  const InstId g0 = nl.add_instance("g0", "INV_X1", {{"A", a}, {"Y", m}});
+  const InstId g1 = nl.add_instance("g1", "INV_X1", {{"A", m}, {"Y", y}});
+  ASSERT_EQ(nl.sinks_of(m).size(), 1u);
+  const std::uint64_t builds = nl.index_builds();
+  const std::uint64_t rev = nl.revision();
+
+  nl.set_cell(g0, "INV_X4");
+  const Netlist& cnl = nl;
+  EXPECT_EQ(cnl.instance(g0).cell, "INV_X4");
+  EXPECT_GT(nl.revision(), rev);
+  EXPECT_EQ(nl.driver_of(m).inst, g0);
+  EXPECT_EQ(nl.sinks_of(m)[0].inst, g1);
+  EXPECT_EQ(nl.index_builds(), builds) << "a cell swap rebuilt the index";
+  EXPECT_THROW(nl.set_cell(7, "INV_X1"), Error);
+}
+
+// Every net's driver and sinks, (inst, pin) by value.
+using IndexView = std::vector<
+    std::pair<std::pair<InstId, std::string>,
+              std::vector<std::pair<InstId, std::string>>>>;
+IndexView index_view(const Netlist& nl) {
+  IndexView v;
+  for (NetId n = 0; n < static_cast<NetId>(nl.nets().size()); ++n) {
+    const auto d = nl.driver_of(n);
+    std::vector<std::pair<InstId, std::string>> sinks;
+    for (const auto& s : nl.sinks_of(n)) sinks.emplace_back(s.inst, s.pin);
+    v.emplace_back(std::make_pair(d.inst, d.pin), std::move(sinks));
+  }
+  return v;
+}
+
+TEST(Netlist, RemoveInstanceMatchesFromScratchRebuild) {
+  Netlist nl("t");
+  Builder b(nl, "x");
+  std::vector<NetId> in = nl.make_bus("in", 6);
+  // Reconvergent fanout: the same nets feed several gates, some gates take
+  // one net on two pins, and one net has two drivers.
+  std::vector<NetId> level = in;
+  for (int depth = 0; depth < 3; ++depth) {
+    std::vector<NetId> next;
+    for (std::size_t i = 0; i + 1 < level.size(); ++i) {
+      next.push_back(b.nand2(level[i], level[i + 1]));
+      next.push_back(b.nand2(level[i], level[i]));
+    }
+    level = next;
+  }
+  const NetId shared = level.front();
+  nl.add_instance("extra_drv", "INV_X1", {{"A", in[0]}, {"Y", shared}});
+
+  Rng rng(11);
+  (void)nl.sinks_of(in[0]);  // build the index
+  for (int k = 0; k < 12; ++k) {
+    std::vector<InstId> live;
+    for (std::size_t i = 0; i < nl.instance_storage_size(); ++i)
+      if (nl.is_live(static_cast<InstId>(i)))
+        live.push_back(static_cast<InstId>(i));
+    ASSERT_FALSE(live.empty());
+    const InstId victim = live[rng.next_u64() % live.size()];
+    nl.remove_instance(victim);
+    const IndexView edited = index_view(nl);
+    Netlist scratch = nl;
+    scratch.touch();  // force a full rebuild on the copy
+    EXPECT_EQ(edited, index_view(scratch)) << "after removing " << victim;
+  }
+}
+
+TEST(Netlist, RemoveInstanceEditsIndexInPlace) {
+  Netlist nl("t");
+  Builder b(nl, "x");
+  const auto in = nl.make_bus("in", 4);
+  std::vector<NetId> outs;
+  for (int i = 0; i < 20; ++i)
+    outs.push_back(b.nand2(in[static_cast<std::size_t>(i % 4)],
+                           in[static_cast<std::size_t>((i + 1) % 4)]));
+  (void)nl.sinks_of(in[0]);
+  const std::uint64_t builds = nl.index_builds();
+  for (NetId out : outs) nl.remove_instance(nl.driver_of(out).inst);
+  for (NetId n : in) EXPECT_TRUE(nl.sinks_of(n).empty());
+  for (NetId out : outs) EXPECT_EQ(nl.driver_of(out).inst, -1);
+  EXPECT_EQ(nl.index_builds(), builds)
+      << "removing single-driver gates rebuilt the index";
+}
+
 // Exhaustive truth-table checks for the generators through the simulator.
 class GenSim : public ::testing::Test {
  protected:

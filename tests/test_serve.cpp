@@ -646,6 +646,67 @@ TEST(Server, SaturationShedsWithRetryAfterAndNothingHangs) {
   EXPECT_EQ(s.shed, static_cast<std::uint64_t>(shed.load()));
 }
 
+TEST(Client, ReadsAcceptShedQueuedBeforeItsRequestWriteFailed) {
+  // An accept-level shed writes the refusal and closes without reading. A
+  // client whose request write comes after that close sees the write
+  // fail, but the refusal already sits in its receive queue: call() must
+  // still return it, and call_retry() must treat it as a shed and retry
+  // on a new connection.
+  Endpoint ep;
+  ep.socket_path = testing::TempDir() + "lims_" + std::to_string(::getpid()) +
+                   "_late_write.sock";
+  std::string err;
+  std::unique_ptr<Listener> listener = Transport::real().listen(ep, &err);
+  ASSERT_NE(listener, nullptr) << err;
+  std::atomic<int> sheds{0};
+  std::thread acceptor([&] {
+    for (int i = 0; i < 2; ++i) {
+      std::unique_ptr<Conn> c = listener->accept(5000);
+      if (!c) return;
+      write_frame(*c, make_shed_reply(5), 1000);
+      c->close();
+      sheds.store(i + 1);
+    }
+    std::unique_ptr<Conn> c = listener->accept(5000);
+    if (!c) return;
+    FrameReader reader(1 << 20);
+    std::string request;
+    if (reader.poll(*c, 5000, 5000, &request) == FrameStatus::kFrame)
+      write_frame(*c, JsonWriter().add("id", "r").add("ok", true).str(), 1000);
+    c->close();
+  });
+  const auto wait_sheds = [&](int n) {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (sheds.load() < n && std::chrono::steady_clock::now() < give_up)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    return sheds.load() >= n;
+  };
+
+  // No ASSERT before the join below: the acceptor must not outlive us.
+  Client first(Transport::real(), ep, 2000);
+  EXPECT_TRUE(first.connected());
+  EXPECT_TRUE(wait_sheds(1));  // the server has written and closed
+  const CallResult r = first.call("{\"op\":\"ping\",\"id\":\"a\"}", 5000);
+  EXPECT_NE(r.write_err, TxErr::kNone);
+  EXPECT_TRUE(r.transport_ok);
+  EXPECT_TRUE(r.shed()) << r.payload;
+
+  Client second(Transport::real(), ep, 2000);
+  EXPECT_TRUE(second.connected());
+  EXPECT_TRUE(wait_sheds(2));
+  RetryPolicy policy;
+  policy.max_retries = 2;
+  policy.jitter_seed = 7;
+  const RetryResult rr =
+      second.call_retry("{\"op\":\"ping\",\"id\":\"r\"}", policy, 5000);
+  acceptor.join();
+  EXPECT_EQ(rr.attempts, 2);
+  EXPECT_TRUE(rr.last.fields.ok) << rr.last.payload;
+  first.close();
+  second.close();
+}
+
 TEST(Server, InjectedShortReadsAndEagainStillServe) {
   // Every accepted connection goes through a FaultConn forcing 1-byte
   // reads and a leading EAGAIN storm — the production read path must

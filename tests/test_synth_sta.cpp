@@ -11,12 +11,14 @@
 #include "sta/sta.hpp"
 #include "synth/synth.hpp"
 #include "tech/process.hpp"
+#include "util/error.hpp"
 #include "util/units.hpp"
 
 namespace limsynth {
 namespace {
 
 using netlist::Builder;
+using netlist::InstId;
 using netlist::Netlist;
 using netlist::NetId;
 
@@ -105,6 +107,87 @@ TEST(Synth, SizingUpsLoadedGates) {
   const auto drv = nl.driver_of(mid);
   ASSERT_GE(drv.inst, 0);
   EXPECT_NE(nl.instance(drv.inst).cell, "INV_X1");
+}
+
+TEST(Synth, DeadSweepAndSizingBuildIndexOnce) {
+  Ctx ctx;
+  Netlist nl("dead_cone");
+  Builder b(nl, "x");
+  const NetId in = nl.add_net("in");
+  nl.add_port("in", netlist::PortDir::kInput, in);
+  nl.add_port("out", netlist::PortDir::kOutput, b.inv(b.inv(in)));
+  // A dead cone: a tree of gates whose root drives nothing, so the sweep
+  // removes it one level per pass.
+  NetId x = b.nand2(b.inv(in), b.inv(b.inv(in)));
+  x = b.nand2(x, b.inv(x));
+  (void)b.inv(b.inv(x));
+  synth::SynthOptions opt;
+  opt.max_fanout = 64;  // no buffering: nothing else edits connectivity
+  const std::uint64_t builds = nl.index_builds();
+  const synth::SynthStats stats =
+      synth::synthesize(nl, ctx.lib, ctx.cells, opt);
+  EXPECT_GE(stats.dead_removed, 8);
+  EXPECT_EQ(stats.buffers_added, 0);
+  // Removals and cell swaps edit the index in place: the dead sweep builds
+  // it once and sizing reuses it.
+  EXPECT_LE(nl.index_builds() - builds, 1u);
+}
+
+TEST(Synth, ResizePassBuildsIndexAtMostOnce) {
+  Ctx ctx;
+  AdderDesign d = make_adder(ctx);
+  synth::synthesize(d.nl, ctx.lib, ctx.cells);
+  // Heavy extracted wire loads force upsizing on the resize pass.
+  std::vector<double> caps(d.nl.nets().size(), 40e-15);
+  synth::SynthOptions opt;
+  opt.net_wire_caps = &caps;
+  d.nl.touch();  // start from a cold index
+  const std::uint64_t builds = d.nl.index_builds();
+  const std::uint64_t rev = d.nl.revision();
+  const int resized = synth::resize_gates(d.nl, ctx.lib, ctx.cells, opt);
+  ASSERT_GT(resized, 0);
+  EXPECT_GT(d.nl.revision(), rev);
+  EXPECT_LE(d.nl.index_builds() - builds, 1u)
+      << resized << " resizes rebuilt the connectivity index";
+}
+
+TEST(Synth, SetCellAndRemovalStaleABinding) {
+  Ctx ctx;
+  AdderDesign d = make_adder(ctx);
+  synth::synthesize(d.nl, ctx.lib, ctx.cells);
+  // Any live sized gate; swap it to another drive of the same function.
+  const Netlist& cnl = d.nl;
+  InstId gate = -1;
+  std::string other;
+  for (std::size_t i = 0; i < cnl.instance_storage_size() && gate < 0; ++i) {
+    const auto id = static_cast<InstId>(i);
+    if (!cnl.is_live(id)) continue;
+    const std::string& cell = cnl.instance(id).cell;
+    const std::string stem = synth::cell_stem(cell);
+    if (stem == cell || stem.rfind("TIE", 0) == 0) continue;
+    gate = id;
+    other = stem + (cell == stem + "_X2" ? "_X4" : "_X2");
+  }
+  ASSERT_GE(gate, 0);
+  auto expect_stale = [&](const netlist::BoundDesign& bd) {
+    try {
+      bd.check_fresh();
+      FAIL() << "stale binding not detected";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kStaleBinding);
+    }
+    EXPECT_THROW(place::place_design(bd, ctx.process), Error);
+  };
+  {
+    const netlist::BoundDesign bd(d.nl, ctx.lib);
+    d.nl.set_cell(gate, other);
+    expect_stale(bd);
+  }
+  {
+    const netlist::BoundDesign bd(d.nl, ctx.lib);
+    d.nl.remove_instance(gate);
+    expect_stale(bd);
+  }
 }
 
 TEST(Synth, StemAndPinHelpers) {
